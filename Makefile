@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke checkpoint-smoke serve-smoke docs-check cover bench bench-json bench-smoke bench-compare profile ci
+.PHONY: all build vet test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke serve-smoke docs-check cover bench bench-smoke profile ci
 
 all: build test
 
@@ -94,8 +94,9 @@ spec-fuzz-smoke:
 # (2 evaders × 2 round counts × 2 fault plans × 2 seeds = 16 cells) run
 # uninterrupted at 1 worker must be byte-identical to the same campaign run
 # at 8 workers, killed after 7 cells (-campaign-max-cells, the deterministic
-# kill), and resumed at 3 workers. This is the ISSUE acceptance gate for the
-# checkpoint format: completion order never leaks into the finalized file.
+# kill), and resumed at 3 workers. This is the acceptance gate for the
+# result file's checkpointed resume: completion order never leaks into the
+# finalized file.
 campaign-smoke:
 	$(GO) build -o /tmp/benchtables ./cmd/benchtables
 	rm -f /tmp/campaign_serial.result /tmp/campaign_resumed.result
@@ -115,24 +116,6 @@ campaign-corpus-check:
 	/tmp/benchtables -campaign testdata/campaigns/smoke.json -campaign-out /tmp/campaign_corpus.result -workers 4 > /dev/null
 	cmp /tmp/campaign_corpus.result testdata/campaigns/smoke.result.golden || { echo "smoke campaign drifted from testdata/campaigns/smoke.result.golden"; exit 1; }
 	@echo "campaign corpus reproduces its golden result file"
-
-# Checkpoint/fork smoke through the CLIs: snapshot the committed fault-free
-# prefix at its horizon, fork four members off it (unfaulted, two DVFS
-# factors, a hotplug window), and require each forked trace byte-identical
-# to its from-scratch twin — tracediff for the structural verdict, cmp for
-# the byte-level one. See docs/CHECKPOINT.md.
-checkpoint-smoke:
-	$(GO) build -o /tmp/satin-sim ./cmd/satin-sim
-	$(GO) build -o /tmp/satin-tracediff ./tools/tracediff
-	rm -rf /tmp/satin_ckpt_smoke && mkdir -p /tmp/satin_ckpt_smoke
-	/tmp/satin-sim -spec testdata/checkpoint/prefix.json -checkpoint-out /tmp/satin_ckpt_smoke/prefix.ckpt > /dev/null
-	@fail=0; for m in clean dvfs-slow dvfs-fast hotplug; do \
-		/tmp/satin-sim -spec testdata/checkpoint/member-$$m.json -resume-from /tmp/satin_ckpt_smoke/prefix.ckpt -trace-out /tmp/satin_ckpt_smoke/fork-$$m.jsonl > /dev/null || exit 1; \
-		/tmp/satin-sim -spec testdata/checkpoint/member-$$m.json -trace-out /tmp/satin_ckpt_smoke/scratch-$$m.jsonl > /dev/null || exit 1; \
-		/tmp/satin-tracediff /tmp/satin_ckpt_smoke/fork-$$m.jsonl /tmp/satin_ckpt_smoke/scratch-$$m.jsonl > /dev/null || { echo "member $$m: forked trace diverges from from-scratch"; fail=1; }; \
-		cmp /tmp/satin_ckpt_smoke/fork-$$m.jsonl /tmp/satin_ckpt_smoke/scratch-$$m.jsonl || { echo "member $$m: forked trace bytes differ"; fail=1; }; \
-	done; exit $$fail
-	@echo "four forked members reproduce their from-scratch traces byte for byte"
 
 # Sharded-campaign smoke: a satin-serve coordinator plus two worker
 # processes drain the committed smoke campaign over the lease protocol, and
@@ -200,7 +183,7 @@ docs-check:
 	@$(GO) build -o /tmp/satin_docscheck ./cmd/...
 	@fail=0; for bin in satin-sim benchtables tzevader satin-serve; do \
 		/tmp/satin_docscheck/$$bin -h 2>&1 | grep -oE '^  -[a-z0-9-]+' | tr -d ' ' > /tmp/satin_docscheck/$$bin.flags; \
-		for f in $$(grep -ohE "$$bin"'[^#`]*' README.md EXPERIMENTS.md docs/*.md | grep -oE ' -[a-z][a-z0-9-]*' | sort -u); do \
+		for f in $$(grep -ohE "$$bin"'[^#`]*' README.md EXPERIMENTS.md | grep -oE ' -[a-z][a-z0-9-]*' | sort -u); do \
 			grep -qx -- "$$f" /tmp/satin_docscheck/$$bin.flags || { echo "docs show $$bin $$f but the binary has no such flag"; fail=1; }; \
 		done; \
 	done; exit $$fail
@@ -214,65 +197,10 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Regenerate BENCH_PR4.json: run the hot-path benchmarks on the current
-# tree and merge them with the committed pre-overhaul baseline
-# (testdata/bench_baseline_pr4.txt, captured at the parent commit of the
-# hot-path PR on the same benchmark definitions).
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkDetection$$|BenchmarkSensitivitySweep$$|BenchmarkSteadyStateRounds$$' -benchtime 5x -count 1 . | tee /tmp/bench_current_pr4.txt
-	$(GO) run ./tools/benchjson -baseline testdata/bench_baseline_pr4.txt -current /tmp/bench_current_pr4.txt \
-		-desc "hot-path overhaul: incremental hash cache + word-wide kernels + allocation-free scheduling vs pre-overhaul baseline" \
-		-out BENCH_PR4.json
-	@echo "wrote BENCH_PR4.json"
-	# BENCH_PR5.json: the span profiler's attached overhead. Baseline is the
-	# detection benchmark with the profiler detached
-	# (testdata/bench_baseline_pr5.txt); current is the same workload with a
-	# profiler attached, renamed so benchjson pairs the two rows.
-	$(GO) test -run '^$$' -bench 'BenchmarkDetectionProfiled$$' -benchtime 5x -count 1 . \
-		| sed 's/BenchmarkDetectionProfiled/BenchmarkDetection/' | tee /tmp/bench_current_pr5.txt
-	$(GO) run ./tools/benchjson -baseline testdata/bench_baseline_pr5.txt -current /tmp/bench_current_pr5.txt \
-		-desc "span profiler attached vs detached on the detection experiment (block span storage; detached profiler is 0 allocs/op by AllocsPerRun lock)" \
-		-out BENCH_PR5.json
-	@echo "wrote BENCH_PR5.json"
-	# BENCH_PR8.json: shared-prefix sweep forking. Baseline runs all 16
-	# cells of the sweep from scratch; current forks them from one prefix
-	# checkpoint. Both sides run on the current tree (the toggle is
-	# campaign.RunOptions grouping), renamed so benchjson pairs the rows.
-	$(GO) test -run '^$$' -bench 'BenchmarkSharedPrefixSweepScratch$$' -benchtime 3x -count 1 . \
-		| sed 's/BenchmarkSharedPrefixSweepScratch/BenchmarkSharedPrefixSweep/' | tee /tmp/bench_baseline_pr8.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkSharedPrefixSweepForked$$' -benchtime 3x -count 1 . \
-		| sed 's/BenchmarkSharedPrefixSweepForked/BenchmarkSharedPrefixSweep/' | tee /tmp/bench_current_pr8.txt
-	$(GO) run ./tools/benchjson -baseline /tmp/bench_baseline_pr8.txt -current /tmp/bench_current_pr8.txt \
-		-desc "16-cell shared-prefix sweep forked from one checkpoint vs every cell from scratch (hash cache off so the prefix carries real per-round work; identical result bytes either way)" \
-		-out BENCH_PR8.json
-	@echo "wrote BENCH_PR8.json"
-	# BENCH_PR9.json: sharded cross-process campaign execution. Baseline
-	# drains the campaign with one worker OS process over the satin-serve
-	# lease protocol; current uses four. Both rows are renamed so benchjson
-	# pairs them; the speedup is the machine's core headroom (≈4× with four
-	# free cores, ≈1× on one — the merged bytes are identical either way).
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedCampaignWorkers1$$' -benchtime 3x -count 1 . \
-		| sed 's/BenchmarkShardedCampaignWorkers1/BenchmarkShardedCampaign/' | tee /tmp/bench_baseline_pr9.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedCampaignWorkers4$$' -benchtime 3x -count 1 . \
-		| sed 's/BenchmarkShardedCampaignWorkers4/BenchmarkShardedCampaign/' | tee /tmp/bench_current_pr9.txt
-	$(GO) run ./tools/benchjson -baseline /tmp/bench_baseline_pr9.txt -current /tmp/bench_current_pr9.txt \
-		-desc "8-cell campaign drained by 4 worker OS processes vs 1 over the satin-serve lease protocol (byte-identical merged result; speedup tracks free cores, so regenerate on multi-core hardware for the headline number)" \
-		-out BENCH_PR9.json
-	@echo "wrote BENCH_PR9.json"
-
 # Quick non-blocking benchmark smoke for CI: one short iteration of every
 # benchmark, checking they still run — not their numbers.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Diff a fresh 1x bench sweep against every committed BENCH_*.json:
-# per-benchmark ns/op deltas, with growth past the threshold flagged as a
-# regression. Wired into the non-blocking CI bench job — numbers vary with
-# runner hardware, so this is a look-here signal, never a merge gate.
-bench-compare:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./... | tee /tmp/bench_fresh.txt
-	$(GO) run ./tools/benchjson -current /tmp/bench_fresh.txt \
-		-compare $$(ls BENCH_*.json | paste -sd, -) -threshold 100
 
 # CPU and heap profiles of the detection sweep benchmark, for digging into
 # the simulator's hot path. Writes /tmp/satin_cpu.prof, /tmp/satin_mem.prof
@@ -282,4 +210,4 @@ profile:
 		-cpuprofile /tmp/satin_cpu.prof -memprofile /tmp/satin_mem.prof -o /tmp/satin.test .
 	@echo "inspect with: $(GO) tool pprof /tmp/satin.test /tmp/satin_cpu.prof"
 
-ci: vet build test race determinism spec-corpus-check campaign-smoke campaign-corpus-check checkpoint-smoke serve-smoke docs-check
+ci: vet build test race determinism spec-corpus-check campaign-smoke campaign-corpus-check serve-smoke docs-check

@@ -23,7 +23,7 @@ import (
 // maxCells > 0 the run stops early after that many new cells — the
 // deterministic stand-in for a kill, used by `make campaign-smoke` to
 // exercise resume.
-func runCampaignFile(out, errOut io.Writer, path, outPath string, workers, maxCells int, progress, fork bool) error {
+func runCampaignFile(out, errOut io.Writer, path, outPath string, workers, maxCells int, progress bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("reading campaign: %w", err)
@@ -40,13 +40,6 @@ func runCampaignFile(out, errOut io.Writer, path, outPath string, workers, maxCe
 		Workers:   workers,
 		MaxCells:  maxCells,
 		SpecTrial: satin.RunSpecTrial,
-	}
-	if fork {
-		// Shared-prefix forking: cells that differ only in their (post-
-		// barrier) fault plan run the common prefix once from a checkpoint.
-		// Result bytes are identical with or without it.
-		opt.GroupKey = satin.CheckpointGroupKey
-		opt.GroupTrial = satin.RunCheckpointGroup
 	}
 	var timingMu sync.Mutex
 	var cellTimes []telemetry.CellTiming
@@ -68,7 +61,7 @@ func runCampaignFile(out, errOut io.Writer, path, outPath string, workers, maxCe
 		}
 		// Wall-clock per-cell timings feed the post-run straggler report
 		// (Shard -1: a local run has no shards).
-		opt.CellDone = func(index int, wall time.Duration, forked bool) {
+		opt.CellDone = func(index int, wall time.Duration, _ bool) {
 			timingMu.Lock()
 			cellTimes = append(cellTimes, telemetry.CellTiming{
 				Index: index, Shard: -1,
@@ -191,7 +184,7 @@ func runCampaignServe(out, errOut io.Writer, path, outPath, serverURL string, sh
 // runCampaignWorker runs the sharded-execution worker loop against a
 // satin-serve coordinator, with the exact trial wiring the local -campaign
 // path uses, until the server reports no open work.
-func runCampaignWorker(errOut io.Writer, serverURL string, workers int, fork bool) error {
+func runCampaignWorker(errOut io.Writer, serverURL string, workers int) error {
 	dir, err := os.MkdirTemp("", "benchtables-worker-*")
 	if err != nil {
 		return fmt.Errorf("worker scratch dir: %w", err)
@@ -207,10 +200,6 @@ func runCampaignWorker(errOut io.Writer, serverURL string, workers int, fork boo
 		Trial:   satin.RunSpecTrial,
 		Workers: workers,
 		Logger:  logger,
-	}
-	if fork {
-		opt.GroupKey = satin.CheckpointGroupKey
-		opt.GroupTrial = satin.RunCheckpointGroup
 	}
 	return serve.RunWorker(context.Background(), &serve.Client{BaseURL: serverURL}, opt)
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"satin"
 	"satin/internal/serve"
 )
 
@@ -148,7 +147,7 @@ func TestCampaignProgressShowsThroughput(t *testing.T) {
 // -campaign-worker drains it, and the merged result is byte-identical to
 // the local -campaign path.
 func TestCampaignServeRoundTrip(t *testing.T) {
-	s, err := serve.New(serve.Options{DataDir: t.TempDir(), GroupKey: satin.CheckpointGroupKey})
+	s, err := serve.New(serve.Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}

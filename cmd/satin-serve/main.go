@@ -22,9 +22,8 @@
 // text or json structured logs for the server and worker modes.
 //
 // Workers execute their shard through the same campaign engine as
-// `benchtables -campaign` — checkpoint-fork acceleration included, since
-// the shard planner never splits a checkpoint-key group — so a campaign's
-// finalized bytes are invariant to how many processes computed it.
+// `benchtables -campaign`, so a campaign's finalized bytes are invariant to
+// how many processes computed it.
 package main
 
 import (
@@ -67,7 +66,6 @@ func run(args []string, out, errOut io.Writer) error {
 	name := fs.String("name", "", "worker mode: worker name (default w<pid>)")
 	dir := fs.String("dir", "", "worker mode: scratch directory for per-shard result files (default a temp dir)")
 	pool := fs.Int("pool", 0, "worker mode: in-process worker goroutines per shard (0 = GOMAXPROCS)")
-	fork := fs.Bool("fork", true, "worker mode: fork shared-prefix cell groups from one checkpoint (identical results either way)")
 	watch := fs.String("watch", "", "stream this job's per-cell progress from -url until it finishes")
 	status := fs.Bool("status", false, "print every job's status from -url")
 	result := fs.String("result", "", "download this job's finalized merged result from -url into -out")
@@ -144,10 +142,6 @@ func run(args []string, out, errOut io.Writer) error {
 			Trial:   satin.RunSpecTrial,
 			Workers: *pool,
 			Logger:  logger,
-		}
-		if *fork {
-			opt.GroupKey = satin.CheckpointGroupKey
-			opt.GroupTrial = satin.RunCheckpointGroup
 		}
 		return serve.RunWorker(context.Background(), client, opt)
 
@@ -245,7 +239,6 @@ func serveMode(l net.Listener, dataDir string, leaseTTL time.Duration, errOut io
 	s, err := serve.New(serve.Options{
 		DataDir:  dataDir,
 		LeaseTTL: leaseTTL,
-		GroupKey: satin.CheckpointGroupKey,
 		Logger:   logger,
 	})
 	if err != nil {

@@ -75,8 +75,6 @@ func run(args []string, out io.Writer) error {
 	flood := fs.Float64("flood", 0, "SGI flood rate per core (interrupts/s); 0 disables")
 	guard := fs.String("guard", "off", "synchronous guard: off | on | bypassed")
 	faults := fs.String("faults", "", `fault-injection plan, e.g. "scale:2" or "dvfs:at=10s,factor=0.5;irq:p=0.1,delay=100us" (empty = none)`)
-	checkpointOut := fs.String("checkpoint-out", "", "run the (fault-free) scenario to its horizon, snapshot it there, and write the checkpoint to this file (see docs/CHECKPOINT.md)")
-	resumeFrom := fs.String("resume-from", "", "restore this checkpoint file into the scenario and run only the remaining horizon")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -173,23 +171,6 @@ func run(args []string, out io.Writer) error {
 		exp = *s.Export
 	}
 
-	if *checkpointOut != "" && *resumeFrom != "" {
-		return fmt.Errorf("-checkpoint-out and -resume-from cannot be combined")
-	}
-	if *checkpointOut != "" && (s.Run.ToCompletion || s.Run.For <= 0) {
-		return fmt.Errorf("-checkpoint-out snapshots at the run horizon; the scenario needs a fixed run.for duration")
-	}
-	var snap *satin.Snapshot
-	if *resumeFrom != "" {
-		snap, err = satin.ReadCheckpoint(*resumeFrom)
-		if err != nil {
-			return err
-		}
-		if _, err := satin.ValidateResume(snap, s); err != nil {
-			return fmt.Errorf("checkpoint %s: %w", *resumeFrom, err)
-		}
-	}
-
 	sc, err := satin.FromSpec(s)
 	if err != nil {
 		return err
@@ -224,34 +205,7 @@ func run(args []string, out io.Writer) error {
 				r.Elapsed().Truncate(time.Microsecond), verdict)
 		})
 	}
-	switch {
-	case snap != nil:
-		// Restore after the sink subscription: the timeline replay publishes
-		// the prefix's events, so a streamed trace is byte-identical to a
-		// from-scratch run's.
-		if err := sc.RestoreSnapshot(snap); err != nil {
-			return fmt.Errorf("checkpoint %s: %w", *resumeFrom, err)
-		}
-		fmt.Fprintf(out, "resumed from %s at %v (%d dirty pages, %d claims)\n",
-			*resumeFrom, snap.State.Now.Duration().Truncate(time.Millisecond), len(snap.Pages), len(snap.State.Claims))
-		satin.RunRemaining(sc, s)
-	case *checkpointOut != "":
-		key, err := satin.CheckpointKey(s)
-		if err != nil {
-			return err
-		}
-		snapOut, err := sc.Checkpoint(time.Duration(s.Run.For), key)
-		if err != nil {
-			return err
-		}
-		if err := satin.WriteCheckpoint(*checkpointOut, snapOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "checkpoint: snapshot at %v (%d dirty pages, %d claims) written to %s\n",
-			snapOut.State.Now.Duration().Truncate(time.Millisecond), len(snapOut.Pages), len(snapOut.State.Claims), *checkpointOut)
-	default:
-		satin.DriveSpec(sc, s)
-	}
+	satin.DriveSpec(sc, s)
 
 	// The summary renders from the scenario's own end-of-run Report; only
 	// per-alarm details and thread-evader staleness need the component

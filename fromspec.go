@@ -1,8 +1,10 @@
 package satin
 
 import (
+	"context"
 	"time"
 
+	"satin/internal/campaign"
 	"satin/internal/spec"
 )
 
@@ -178,13 +180,7 @@ func RunSpecTrial(s ScenarioSpec) (SweepMetrics, error) {
 		return nil, err
 	}
 	DriveSpec(sc, c)
-	return specTrialMetrics(c, sc.Report()), nil
-}
-
-// specTrialMetrics reduces a finished run to the trial metric set. Shared by
-// RunSpecTrial and the checkpoint-forked group trial, which must produce the
-// identical rows for the identical spec.
-func specTrialMetrics(c ScenarioSpec, rep Report) SweepMetrics {
+	rep := sc.Report()
 	var m SweepMetrics
 	switch c.Defense.Kind {
 	case spec.DefenseSATIN:
@@ -202,7 +198,29 @@ func specTrialMetrics(c ScenarioSpec, rep Report) SweepMetrics {
 			Add("hides", float64(rep.Hides)).
 			Add("reinstalls", float64(rep.Reinstalls))
 	}
-	return m
+	return m, nil
+}
+
+// CheckpointGroupKey is a campaign.GroupKeyFunc that groups no cell: it
+// reports ok=false for every spec, so campaigns and shard plans treat each
+// cell as its own unit. It stays only because the satbench harness passes
+// it.
+func CheckpointGroupKey(ScenarioSpec) (string, bool) { return "", false }
+
+// RunCheckpointGroup is a campaign.GroupTrialFunc that runs each member with
+// RunSpecTrial, in order. Members not yet started when ctx is cancelled
+// report ctx.Err(). Like CheckpointGroupKey, it stays only for satbench.
+func RunCheckpointGroup(ctx context.Context, members []ScenarioSpec) []campaign.GroupResult {
+	out := make([]campaign.GroupResult, len(members))
+	for i := range members {
+		if err := ctx.Err(); err != nil {
+			out[i] = campaign.GroupResult{Err: err}
+			continue
+		}
+		m, err := RunSpecTrial(members[i])
+		out[i] = campaign.GroupResult{Metrics: m, Err: err}
+	}
+	return out
 }
 
 func boolMetric(b bool) float64 {

@@ -42,13 +42,7 @@ type FastEvader struct {
 	events      []Event
 	obs         evaderObs
 	pending     map[int]*simclock.Handle // detection events per core
-	// The remaining pending events, tracked so a checkpoint can claim them
-	// (see checkpoint.go): recovery observations (several may be in flight
-	// for the same core), and the at-most-one hide or reinstall countdown.
-	recoverPending   []recoverEvent
-	hidePending      *simclock.Handle
-	reinstallPending *simclock.Handle
-	started          bool
+	started     bool
 	// prof receives evader spans on the dedicated evader track (nil unless
 	// SetProfiler was called; every emit is nil-safe).
 	prof *profile.Profiler
@@ -170,28 +164,7 @@ func (f *FastEvader) onWorldChange(c *hw.Core, _, newWorld hw.World) {
 	if delay < time.Microsecond {
 		delay = time.Microsecond
 	}
-	f.armRecover(id, now.Add(delay))
-}
-
-// recoverEvent tracks one pending recovery observation for checkpointing.
-type recoverEvent struct {
-	core int
-	h    *simclock.Handle
-}
-
-// armRecover schedules the comparer's recovery observation for core id and
-// tracks its handle, pruning entries that already fired so the list stays
-// bounded by the in-flight count.
-func (f *FastEvader) armRecover(id int, at simclock.Time) {
-	live := f.recoverPending[:0]
-	for _, re := range f.recoverPending {
-		if re.h.Live() {
-			live = append(live, re)
-		}
-	}
-	f.recoverPending = live
-	h := f.platform.Engine().At(at, "fast-evader-recover", func() { f.recovered(id) })
-	f.recoverPending = append(f.recoverPending, recoverEvent{core: id, h: h})
+	engine.After(delay, "fast-evader-recover", func() { f.recovered(id) })
 }
 
 // detect is the comparer flagging core id.
@@ -216,14 +189,7 @@ func (f *FastEvader) beginHide() {
 	f.prof.Begin(profile.SpanEvaderWindow, -1, -1, now, "")
 	f.prof.Begin(profile.SpanEvaderHide, -1, -1, now, "")
 	recover := f.platform.Perf().RecoverTime(f.cleaningCoreType(), f.rootkit.TraceSize(), f.rng)
-	f.armHide(f.platform.Engine().Now().Add(recover))
-}
-
-// armHide schedules the end of the hide countdown; split out so a checkpoint
-// restore can re-arm it at the claimed instant.
-func (f *FastEvader) armHide(at simclock.Time) {
-	f.hidePending = f.platform.Engine().At(at, "fast-evader-hide", func() {
-		f.hidePending = nil
+	f.platform.Engine().After(recover, "fast-evader-hide", func() {
 		if err := f.rootkit.Hide(f.platform.Engine().Now()); err != nil {
 			panic(fmt.Sprintf("attack: fast hide failed: %v", err))
 		}
@@ -253,14 +219,7 @@ func (f *FastEvader) maybeReinstall() {
 	f.state = EvaderReinstalling
 	f.prof.Begin(profile.SpanEvaderReinstall, -1, -1, f.platform.Engine().Now().Duration(), "")
 	recover := f.platform.Perf().RecoverTime(f.cleaningCoreType(), f.rootkit.TraceSize(), f.rng)
-	f.armReinstall(f.platform.Engine().Now().Add(recover))
-}
-
-// armReinstall schedules the end of the reinstall countdown; split out so a
-// checkpoint restore can re-arm it at the claimed instant.
-func (f *FastEvader) armReinstall(at simclock.Time) {
-	f.reinstallPending = f.platform.Engine().At(at, "fast-evader-reinstall", func() {
-		f.reinstallPending = nil
+	f.platform.Engine().After(recover, "fast-evader-reinstall", func() {
 		if f.state != EvaderReinstalling {
 			return
 		}

@@ -22,9 +22,6 @@ type InterruptFlood struct {
 	cores    []int
 	running  bool
 	raised   int
-	// tickPending is the next scheduled burst, tracked so a checkpoint can
-	// claim it (see checkpoint.go).
-	tickPending *simclock.Handle
 }
 
 // NewInterruptFlood prepares a flood at the given per-core rate (interrupts
@@ -74,7 +71,6 @@ func (f *InterruptFlood) Stop() { f.running = false }
 func (f *InterruptFlood) Raised() int { return f.raised }
 
 func (f *InterruptFlood) tick() {
-	f.tickPending = nil
 	if !f.running {
 		return
 	}
@@ -82,5 +78,5 @@ func (f *InterruptFlood) tick() {
 		f.platform.GIC().Raise(hw.IntSGIFlood, c)
 		f.raised++
 	}
-	f.tickPending = f.engine.After(f.period, "sgi-flood", f.tick)
+	f.engine.After(f.period, "sgi-flood", f.tick)
 }

@@ -19,12 +19,12 @@ import (
 // package must not import the facade.
 type SpecTrialFunc func(spec.Spec) (runner.Metrics, error)
 
-// GroupKeyFunc classifies one scenario spec for shared-prefix grouping:
-// cells whose keys match (with ok true) share a checkpointable prefix and
-// may be executed as one forked group. ok false marks a spec the checkpoint
-// protocol does not support; it runs through the plain spec trial. Injected
-// (satin.CheckpointGroupKey in the CLIs) because this package must not
-// import the facade.
+// GroupKeyFunc classifies one scenario spec for grouped execution: cells
+// whose keys match (with ok true) run as one unit through a GroupTrialFunc;
+// ok false runs the cell alone through the spec trial. It is a generic
+// "run these cells as one unit" hook. Nothing in this repository produces a
+// grouping key (satin.CheckpointGroupKey reports ok=false for every spec);
+// the hook stays because the satbench harness passes it.
 type GroupKeyFunc func(spec.Spec) (string, bool)
 
 // GroupResult is one member's outcome from a group trial, mirroring one
@@ -34,13 +34,11 @@ type GroupResult struct {
 	Err     error
 }
 
-// GroupTrialFunc executes a set of instantiated scenario specs that share a
-// checkpointable prefix — typically by running the prefix once, snapshotting
-// it, and forking one continuation per member — and returns one result per
-// member, in order. The contract is equivalence: metrics and failures must
-// be exactly what running the spec trial per member would produce (the
-// campaign result file is byte-identical either way once finalized).
-// Injected (satin.RunCheckpointGroup in the CLIs).
+// GroupTrialFunc executes the members of one group as a unit and returns one
+// result per member, in order. The contract is equivalence: metrics and
+// failures must be exactly what running the spec trial per member would
+// produce, so the finalized result file is byte-identical either way
+// (satin.RunCheckpointGroup is exactly that per-member loop).
 type GroupTrialFunc func(ctx context.Context, members []spec.Spec) []GroupResult
 
 // RunOptions configures one campaign execution.
@@ -70,9 +68,9 @@ type RunOptions struct {
 	// SpecTrial executes scenario cells; required unless the campaign
 	// names a registry experiment.
 	SpecTrial SpecTrialFunc
-	// GroupKey and GroupTrial, when both non-nil, enable shared-prefix
-	// forking: pending scenario cells whose group keys match are executed as
-	// one unit through GroupTrial instead of cell-by-cell through SpecTrial.
+	// GroupKey and GroupTrial, when both non-nil, enable grouped
+	// execution: pending scenario cells whose group keys match run as one
+	// unit through GroupTrial instead of cell-by-cell through SpecTrial.
 	// Grouping is disabled under MaxCells (a truncated session must complete
 	// exactly the first pending cells, not a group's worth); the finalized
 	// result file is byte-identical with grouping on or off.
@@ -80,8 +78,8 @@ type RunOptions struct {
 	GroupTrial GroupTrialFunc
 	// CellDone, when non-nil, observes each newly checkpointed cell's
 	// wall-clock cost: forked reports whether the cell ran inside a
-	// multi-cell fork group (wall is then the group's trial time split
-	// evenly across members). Telemetry side channel only — cancelled cells
+	// multi-cell group (wall is then the group's trial time split evenly
+	// across members). Telemetry side channel only — cancelled cells
 	// are not reported and nothing here touches the result bytes. Called
 	// from pool goroutines; implementations synchronize themselves.
 	CellDone func(index int, wall time.Duration, forked bool)
@@ -248,11 +246,11 @@ func Run(ctx context.Context, c Spec, resultPath string, opt RunOptions) (RunRes
 }
 
 // groupUnits partitions the cells this session will run into execution
-// units: with shared-prefix forking enabled, cells whose group keys match
-// form one multi-cell unit (in expansion order); everything else — cells the
-// checkpoint protocol does not cover, experiment cells, singleton groups —
-// runs alone. Unit boundaries only shape scheduling and the order of result-
-// file appends; the finalized file sorts by index and is invariant to them.
+// units: with grouping enabled, cells whose group keys match form one
+// multi-cell unit (in expansion order); everything else — ungrouped cells,
+// experiment cells, singleton groups — runs alone. Unit boundaries only
+// shape scheduling and the order of result-file appends; the finalized file
+// sorts by index and is invariant to them.
 func groupUnits(cells []Cell, opt RunOptions) [][]Cell {
 	if opt.GroupKey == nil || opt.GroupTrial == nil || opt.MaxCells > 0 {
 		units := make([][]Cell, len(cells))

@@ -37,10 +37,6 @@ type Injector struct {
 
 	injected int
 
-	// scheduled tracks the handles of the plan's DVFS and hotplug events, so
-	// a checkpoint restore can verify them present (see checkpoint.go).
-	scheduled []*simclock.Handle
-
 	bus        *obs.Bus
 	totalCtr   *obs.Counter
 	dvfsCtr    *obs.Counter
@@ -150,7 +146,7 @@ func (in *Injector) scheduleAt(at time.Duration, name string, fn func()) {
 		fn()
 		return
 	}
-	in.scheduled = append(in.scheduled, engine.At(t, name, fn))
+	engine.At(t, name, fn)
 }
 
 // applyRates recomputes and installs core i's effective rates through the

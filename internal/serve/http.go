@@ -75,7 +75,8 @@ type ProgressReport struct {
 	Detail string `json:"detail"`
 	// CellNs is the cell's wall-clock duration in nanoseconds (0 = untimed).
 	CellNs int64 `json:"cell_ns,omitempty"`
-	// Forked marks a cell executed inside a checkpoint-fork group.
+	// Forked marks a cell executed inside a multi-cell group (see
+	// campaign.RunOptions.GroupTrial).
 	Forked bool `json:"forked,omitempty"`
 }
 
@@ -96,6 +97,31 @@ func (e *httpError) Error() string { return e.err.Error() }
 func (e *httpError) Unwrap() error { return e.err }
 
 func badRequest(err error) error { return &httpError{status: http.StatusBadRequest, err: err} }
+
+// Request body limits. An upload carries one shard's result file (about
+// 170 bytes per cell, so the limit holds ~200k cells); every other POST is
+// a small JSON document. Reading stops at the limit and the request is
+// refused with 413.
+const (
+	MaxJSONBodyBytes = 1 << 20
+	MaxUploadBytes   = 32 << 20
+)
+
+// decodeJSON decodes r's JSON body, reading at most MaxJSONBodyBytes.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxJSONBodyBytes)).Decode(v)
+}
+
+// bodyError classifies a failed body read: 413 when the body outgrew its
+// limit, 400 otherwise.
+func bodyError(what string, err error) error {
+	err = fmt.Errorf("serve: %s body: %w", what, err)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &httpError{status: http.StatusRequestEntityTooLarge, err: err}
+	}
+	return badRequest(err)
+}
 func notFound(jobID string) error {
 	return &httpError{status: http.StatusNotFound, err: fmt.Errorf("serve: no job %q", jobID)}
 }
@@ -239,8 +265,8 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, badRequest(fmt.Errorf("serve: submit body: %w", err)))
+	if err := decodeJSON(w, r, &req); err != nil {
+		s.writeError(w, bodyError("submit", err))
 		return
 	}
 	if req.Shards == 0 {
@@ -258,8 +284,8 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Worker string `json:"worker"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
-		s.writeError(w, badRequest(fmt.Errorf("serve: lease body: %w", err)))
+	if err := decodeJSON(w, r, &req); err != nil && err != io.EOF {
+		s.writeError(w, bodyError("lease", err))
 		return
 	}
 	lease, open, err := s.Lease(req.Worker)
@@ -277,8 +303,8 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rep ProgressReport
-	if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
-		s.writeError(w, badRequest(fmt.Errorf("serve: progress body: %w", err)))
+	if err := decodeJSON(w, r, &rep); err != nil {
+		s.writeError(w, bodyError("progress", err))
 		return
 	}
 	if err := s.Progress(r.PathValue("id"), shardIdx, rep); err != nil {
@@ -294,9 +320,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest(fmt.Errorf("serve: shard %q", r.PathValue("shard"))))
 		return
 	}
-	data, err := io.ReadAll(r.Body)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxUploadBytes))
 	if err != nil {
-		s.writeError(w, badRequest(fmt.Errorf("serve: upload body: %w", err)))
+		s.writeError(w, bodyError("upload", err))
 		return
 	}
 	if err := s.Upload(r.PathValue("id"), shardIdx, r.Header.Get("X-Satin-Lease"), data); err != nil {

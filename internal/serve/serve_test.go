@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -44,13 +46,13 @@ func fakeTrial(s spec.Spec) (runner.Metrics, error) {
 	return m, nil
 }
 
-// seedKey groups the campaign's cells by seed, as CheckpointGroupKey would.
+// seedKey groups the campaign's cells by seed, exercising the group hooks.
 func seedKey(s spec.Spec) (string, bool) {
 	return string(rune('a' + int(s.Seed))), true
 }
 
 // fakeGroupTrial satisfies the group contract by running the spec trial per
-// member — metrics-equivalent to forking, which is all the tests need.
+// member, which is all the tests need.
 func fakeGroupTrial(_ context.Context, members []spec.Spec) []campaign.GroupResult {
 	out := make([]campaign.GroupResult, len(members))
 	for i, m := range members {
@@ -441,5 +443,77 @@ func TestSubmitRejectsBadCampaign(t *testing.T) {
 	}
 	if _, err := s.Submit([]byte(gridCampaign), 0); err == nil {
 		t.Fatal("Submit accepted 0 shards")
+	}
+}
+
+// TestOversizedBodiesRefused: a body past its limit is answered 413 before
+// anything reaches the server's state, so the lease survives: the same
+// shard's valid upload still commits and the merge equals the
+// single-process bytes.
+func TestOversizedBodiesRefused(t *testing.T) {
+	want := singleProcessBytes(t)
+	s := newServer(t, serve.Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := &serve.Client{BaseURL: ts.URL}
+	ctx := context.Background()
+
+	st, err := client.Submit(ctx, []byte(gridCampaign), 1)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	lease, _, err := client.Lease(ctx, "A")
+	if err != nil || lease == nil {
+		t.Fatalf("Lease: %v, %v", lease, err)
+	}
+	post := func(path string, body []byte) int {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Satin-Lease", lease.Token)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// An unterminated JSON string keeps the decoder reading to the limit.
+	longJSON := append([]byte(`{"campaign":"`), bytes.Repeat([]byte("a"), serve.MaxJSONBodyBytes)...)
+	shardPath := fmt.Sprintf("/v1/campaigns/%s/shards/%d", lease.Job, lease.Shard)
+	for path, body := range map[string][]byte{
+		"/v1/campaigns":         longJSON,
+		"/v1/lease":             longJSON,
+		shardPath + "/progress": longJSON,
+		shardPath + "/result":   make([]byte, serve.MaxUploadBytes+1),
+	} {
+		if code := post(path, body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized POST %s: status %d, want 413", path, code)
+		}
+	}
+
+	c, err := campaign.Parse([]byte(gridCampaign))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "shard.result")
+	if _, err := campaign.Run(ctx, c, path, campaign.RunOptions{Only: lease.Cells, SpecTrial: fakeTrial}); err != nil {
+		t.Fatalf("running shard: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Upload(ctx, lease.Job, lease.Shard, lease.Token, data); err != nil {
+		t.Fatalf("valid upload after the refused one: %v", err)
+	}
+	got, err := client.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("merged result after a refused oversized upload differs from the single-process bytes")
 	}
 }

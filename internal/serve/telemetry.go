@@ -81,7 +81,7 @@ func (s *Server) jobTelemetryInit(j *job) {
 	reg.Counter("satin_cells_reported_total",
 		"Per-cell progress reports accepted.", "job", j.id)
 	reg.Counter("satin_cells_forked_total",
-		"Reported cells that ran inside a checkpoint-fork group.", "job", j.id)
+		"Reported cells that ran inside a multi-cell group.", "job", j.id)
 	for si := range j.shards {
 		reg.Histogram("satin_cell_duration_seconds",
 			"Worker-reported wall-clock cell durations.", cellDurationBounds,

@@ -26,8 +26,9 @@ type WorkerOptions struct {
 	Dir string
 	// Trial executes scenario cells (satin.RunSpecTrial in the binaries).
 	Trial campaign.SpecTrialFunc
-	// GroupKey and GroupTrial, when both non-nil, enable checkpoint-fork
-	// acceleration within the shard (the planner kept groups intact).
+	// GroupKey and GroupTrial, when both non-nil, run matching cells within
+	// the shard as one unit (campaign.RunOptions' generic group hook; no
+	// binary sets them, and they stay because the satbench harness does).
 	GroupKey   campaign.GroupKeyFunc
 	GroupTrial campaign.GroupTrialFunc
 	// Workers bounds the in-process pool per shard (0 = GOMAXPROCS).

@@ -1,11 +1,9 @@
 // Package shard partitions a campaign's flat cell list into K shards for
 // cross-process execution. The planner's one non-negotiable rule is that a
-// checkpoint-key group — cells sharing a forkable prefix, the unit the
-// campaign executor accelerates via checkpoint/fork — is never split across
-// shards: a shard either holds the whole group or none of it, so fork
-// acceleration applies within every shard exactly as it would in one
-// process. Around that constraint the planner balances cell counts with a
-// deterministic longest-processing-time greedy.
+// group — cells whose campaign.GroupKeyFunc keys match, which the campaign
+// executor runs as one unit — is never split across shards: a shard either
+// holds the whole group or none of it. Around that constraint the planner
+// balances cell counts with a deterministic longest-processing-time greedy.
 //
 // A plan only shapes which process computes which cells; the merged result
 // is byte-invariant to it (campaign.Merge sorts by cell index). Determinism
@@ -39,7 +37,7 @@ func (p Plan) Cells() int {
 	return n
 }
 
-// block is one atomic scheduling unit: a checkpoint-key group, or a single
+// block is one atomic scheduling unit: a group of matching keys, or a single
 // ungrouped cell.
 type block struct {
 	first int // lowest cell index, the deterministic identity
@@ -47,9 +45,9 @@ type block struct {
 }
 
 // PlanCells partitions cells into k shards. key, when non-nil, classifies
-// cells into checkpoint-key groups (the campaign.GroupKeyFunc contract:
-// matching keys with ok=true share a forkable prefix); grouped cells are
-// kept together. A nil key plans every cell independently.
+// cells into groups (the campaign.GroupKeyFunc contract: matching keys with
+// ok=true run as one unit); grouped cells are kept together. A nil key plans
+// every cell independently.
 func PlanCells(cells []campaign.Cell, k int, key campaign.GroupKeyFunc) (Plan, error) {
 	if k < 1 {
 		return Plan{}, fmt.Errorf("shard: shard count %d: need at least 1", k)
@@ -86,9 +84,9 @@ func PlanCells(cells []campaign.Cell, k int, key campaign.GroupKeyFunc) (Plan, e
 	return plan, nil
 }
 
-// blocksOf groups the cells into atomic blocks: checkpoint-key groups of
-// two or more stay whole, everything else is a singleton. Mirrors the
-// executor's groupUnits — a group the executor would fork is exactly a
+// blocksOf groups the cells into atomic blocks: key groups of two or more
+// stay whole, everything else is a singleton. Mirrors the executor's
+// groupUnits — a group the executor would run as one unit is exactly a
 // block the planner keeps intact.
 func blocksOf(cells []campaign.Cell, key campaign.GroupKeyFunc) []block {
 	grouped := map[string][]int{}

@@ -10,7 +10,7 @@ import (
 )
 
 // gridCells expands a 3-combo × 4-seed campaign (12 cells) whose combos
-// differ only in their fault plan — the shape checkpoint grouping targets.
+// differ only in their fault plan, so seedKey groups them four ways.
 func gridCells(t *testing.T) []campaign.Cell {
 	t.Helper()
 	c, err := campaign.Parse([]byte(`{
@@ -37,8 +37,7 @@ func gridCells(t *testing.T) []campaign.Cell {
 	return cells
 }
 
-// seedKey groups cells by seed — the same classification CheckpointGroupKey
-// gives this campaign (cells of one seed share the fault-free prefix).
+// seedKey groups cells by seed, so every seed's cells form one group.
 func seedKey(s spec.Spec) (string, bool) {
 	return string(rune('a' + int(s.Seed))), true
 }
@@ -96,8 +95,8 @@ func TestPlanCovers(t *testing.T) {
 	}
 }
 
-// TestPlanKeepsGroupsIntact: cells sharing a checkpoint key never split
-// across shards, so fork acceleration survives sharding.
+// TestPlanKeepsGroupsIntact: cells sharing a group key never split across
+// shards.
 func TestPlanKeepsGroupsIntact(t *testing.T) {
 	cells := gridCells(t)
 	for _, k := range []int{2, 3, 4, 7} {

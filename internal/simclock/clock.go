@@ -120,7 +120,7 @@ func (e *Engine) recycle(ev *event) {
 // The name is used in error messages and traces.
 func (e *Engine) At(t Time, name string, fn func()) *Handle {
 	ev := e.schedule(t, name, fn)
-	return &Handle{engine: e, ev: ev, gen: ev.gen, when: t, seq: ev.seq}
+	return &Handle{engine: e, ev: ev, gen: ev.gen, when: t}
 }
 
 // After schedules fn to run d after the current instant. A negative d panics
@@ -239,7 +239,6 @@ type Handle struct {
 	ev       *event
 	gen      uint64
 	when     Time
-	seq      uint64
 	canceled bool
 }
 

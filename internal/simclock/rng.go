@@ -13,10 +13,6 @@ import (
 // across refactors.
 type RNG struct {
 	r *rand.Rand
-	// src is the stream's PCG source, retained so checkpointing can
-	// serialize and restore the stream position (rand.Rand itself holds no
-	// state beyond its source).
-	src *rand.PCG
 }
 
 // NewRNG derives the stream named name from the root seed.
@@ -24,18 +20,8 @@ func NewRNG(seed uint64, name string) *RNG {
 	h := fnv.New64a()
 	// Writes to hash.Hash never fail.
 	_, _ = h.Write([]byte(name))
-	src := rand.NewPCG(seed, h.Sum64())
-	return &RNG{r: rand.New(src), src: src}
+	return &RNG{r: rand.New(rand.NewPCG(seed, h.Sum64()))}
 }
-
-// MarshalState serializes the stream's current position. Restoring it with
-// RestoreState resumes the stream exactly where it was: the next draw after a
-// restore equals the next draw after the marshal.
-func (g *RNG) MarshalState() ([]byte, error) { return g.src.MarshalBinary() }
-
-// RestoreState rewinds (or fast-forwards) the stream to a position captured
-// by MarshalState.
-func (g *RNG) RestoreState(state []byte) error { return g.src.UnmarshalBinary(state) }
 
 // Float64 returns a uniform value in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }

@@ -326,13 +326,6 @@ type Scenario struct {
 	reg      *obs.Registry
 	timeline *trace.Timeline
 	prof     *profile.Profiler
-
-	// bootGens is the per-page write-generation baseline captured when
-	// construction finished: boot fill, guard protections, and the initial
-	// rootkit install have all landed. A checkpoint's copy-on-write memory
-	// capture stores exactly the pages whose generation has moved since
-	// (see checkpoint.go).
-	bootGens []uint64
 }
 
 // Option configures a Scenario.
@@ -655,7 +648,6 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 		}
 		sc.prof = p
 	}
-	sc.bootGens = image.Mem().PageGens()
 	return sc, nil
 }
 

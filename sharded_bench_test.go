@@ -28,13 +28,11 @@ func TestShardWorkerProcess(t *testing.T) {
 		t.Skipf("helper process body; spawned by BenchmarkShardedCampaign with %s set", shardWorkerURLEnv)
 	}
 	err := serve.RunWorker(context.Background(), &serve.Client{BaseURL: url}, serve.WorkerOptions{
-		Name:       fmt.Sprintf("bench-%d", os.Getpid()),
-		Dir:        t.TempDir(),
-		Trial:      RunSpecTrial,
-		GroupKey:   CheckpointGroupKey,
-		GroupTrial: RunCheckpointGroup,
-		Workers:    1,
-		Poll:       10 * time.Millisecond,
+		Name:    fmt.Sprintf("bench-%d", os.Getpid()),
+		Dir:     t.TempDir(),
+		Trial:   RunSpecTrial,
+		Workers: 1,
+		Poll:    10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("worker: %v", err)
@@ -43,13 +41,20 @@ func TestShardWorkerProcess(t *testing.T) {
 
 // benchShardedCampaign measures one full campaign drained by `procs` real
 // worker OS processes through the satin-serve lease protocol: submit,
-// spawn, wait, verify finalized. The campaign is 4 checkpoint groups of 2
-// cells (4 seeds × 2 forkable fault plans over a 45s horizon), so a
-// 4-shard plan gives each process one group and the speedup ceiling is
-// core-bound: ~procs× on a machine with that many free cores, ~1× on one
-// core (the protocol adds only lease/upload overhead either way).
+// spawn, wait, verify finalized. The campaign is 8 cells (4 seeds × 2
+// fault plans over a 45s horizon, SATIN vs the fast evader), so a 4-shard
+// plan gives each process two cells and the speedup ceiling is core-bound:
+// ~procs× on a machine with that many free cores, ~1× on one core (the
+// protocol adds only lease/upload overhead either way).
 func benchShardedCampaign(b *testing.B, procs int) {
-	tmpl := ckptSpec(45*time.Second, "")
+	tmpl := ScenarioSpec{
+		Version: ScenarioSpecVersion,
+		Name:    "sharded",
+		Seed:    1,
+		Defense: SpecDefense{Kind: "satin", SATIN: &SpecSATINConfig{Tgoal: SpecDuration(19 * time.Second)}},
+		Evader:  SpecEvader{Kind: "fast"},
+		Run:     SpecRun{For: SpecDuration(45 * time.Second)},
+	}
 	c := campaign.Spec{
 		Version:  campaign.CurrentVersion,
 		Name:     "sharded-bench",
@@ -68,7 +73,7 @@ func benchShardedCampaign(b *testing.B, procs int) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := serve.New(serve.Options{DataDir: b.TempDir(), GroupKey: CheckpointGroupKey})
+		s, err := serve.New(serve.Options{DataDir: b.TempDir()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,6 +116,6 @@ func benchShardedCampaign(b *testing.B, procs int) {
 func BenchmarkShardedCampaignWorkers1(b *testing.B) { benchShardedCampaign(b, 1) }
 
 // BenchmarkShardedCampaignWorkers4 drains it with four worker processes.
-// `make bench-json` pairs the two under one name in BENCH_PR9.json; the
-// ratio is the machine's core headroom (≈4× with 4 free cores, ≈1× on 1).
+// The ratio to Workers1 is the machine's core headroom (≈4× with 4 free
+// cores, ≈1× on 1).
 func BenchmarkShardedCampaignWorkers4(b *testing.B) { benchShardedCampaign(b, 4) }

@@ -3,9 +3,6 @@ package satin
 // Sharded execution against the committed corpus: planning the smoke
 // campaign into shards, running each shard as its own session, and merging
 // must land byte-for-byte on the same golden a single process produces.
-// Plus the kill-inside-a-group resume contract: a session truncated by
-// MaxCells (grouping disabled) can leave a checkpoint group half done, and
-// the forked resume must still finalize to the uninterrupted bytes.
 
 import (
 	"bytes"
@@ -38,7 +35,7 @@ func TestShardedMergeReproducesGolden(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 4} {
 		k := k
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			plan, err := shard.PlanCells(cells, k, CheckpointGroupKey)
+			plan, err := shard.PlanCells(cells, k, nil)
 			if err != nil {
 				t.Fatalf("PlanCells: %v", err)
 			}
@@ -48,11 +45,9 @@ func TestShardedMergeReproducesGolden(t *testing.T) {
 				path := filepath.Join(dir, fmt.Sprintf("shard-%d.result", si))
 				paths = append(paths, path)
 				res, err := campaign.Run(context.Background(), c, path, campaign.RunOptions{
-					Workers:    2,
-					Only:       only,
-					SpecTrial:  RunSpecTrial,
-					GroupKey:   CheckpointGroupKey,
-					GroupTrial: RunCheckpointGroup,
+					Workers:   2,
+					Only:      only,
+					SpecTrial: RunSpecTrial,
 				})
 				if err != nil {
 					t.Fatalf("shard %d: %v", si, err)
@@ -89,7 +84,7 @@ func TestShardedServeGoldenWhileScraped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := serve.New(serve.Options{DataDir: t.TempDir(), GroupKey: CheckpointGroupKey})
+	s, err := serve.New(serve.Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +120,11 @@ func TestShardedServeGoldenWhileScraped(t *testing.T) {
 	}()
 
 	err = serve.RunWorker(ctx, client, serve.WorkerOptions{
-		Name:       "scraped-worker",
-		Dir:        t.TempDir(),
-		Trial:      RunSpecTrial,
-		GroupKey:   CheckpointGroupKey,
-		GroupTrial: RunCheckpointGroup,
-		Workers:    2,
-		Poll:       time.Millisecond,
+		Name:    "scraped-worker",
+		Dir:     t.TempDir(),
+		Trial:   RunSpecTrial,
+		Workers: 2,
+		Poll:    time.Millisecond,
 	})
 	close(stop)
 	n := <-scraped
@@ -148,101 +141,5 @@ func TestShardedServeGoldenWhileScraped(t *testing.T) {
 	}
 	if !bytes.Equal(got, smokeGolden(t)) {
 		t.Errorf("scrape-concurrent sharded result drifted from testdata/campaigns/smoke.result.golden (%d scrapes)", n)
-	}
-}
-
-// TestForkResumeAfterKillInsideGroup: leg 1 runs under MaxCells — grouping
-// is disabled there, so the kill can land inside what the forked executor
-// would treat as one group, leaving it half-checkpointed. The resume runs
-// with forking on, so the group's remaining members fork as a partial
-// group; the finalized file must still be byte-identical to an
-// uninterrupted forked run (and an uninterrupted plain run).
-func TestForkResumeAfterKillInsideGroup(t *testing.T) {
-	tmpl := ckptSpec(45*time.Second, "")
-	c := campaign.Spec{
-		Version:  campaign.CurrentVersion,
-		Name:     "fork-resume-kill",
-		Scenario: &tmpl,
-		Faults: []string{
-			"",
-			"dvfs:at=35s,factor=0.8",
-			"dvfs:at=40s,factor=1.2",
-			"hotplug:core=1,off=36s,on=42s",
-		},
-		Seeds: campaign.SeedRange{Base: 1, Count: 2},
-	}
-
-	uninterrupted := filepath.Join(t.TempDir(), "full.result")
-	res, err := campaign.Run(context.Background(), c, uninterrupted, campaign.RunOptions{
-		Workers:    2,
-		SpecTrial:  RunSpecTrial,
-		GroupKey:   CheckpointGroupKey,
-		GroupTrial: RunCheckpointGroup,
-	})
-	if err != nil {
-		t.Fatalf("uninterrupted run: %v", err)
-	}
-	if !res.Finalized {
-		t.Fatal("uninterrupted run did not finalize")
-	}
-	want, err := os.ReadFile(uninterrupted)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The campaign has 2 seed groups of 4 cells each; killing after 2 cells
-	// lands mid-way through the first group.
-	path := filepath.Join(t.TempDir(), "killed.result")
-	first, err := campaign.Run(context.Background(), c, path, campaign.RunOptions{
-		Workers:    1,
-		MaxCells:   2,
-		SpecTrial:  RunSpecTrial,
-		GroupKey:   CheckpointGroupKey,
-		GroupTrial: RunCheckpointGroup,
-	})
-	if err != nil {
-		t.Fatalf("truncated run: %v", err)
-	}
-	if first.Finalized || first.NewlyDone != 2 {
-		t.Fatalf("truncated run: finalized %v, newly done %d (want unfinalized, 2)", first.Finalized, first.NewlyDone)
-	}
-
-	groups := 0
-	var groupSizes []int
-	second, err := campaign.Run(context.Background(), c, path, campaign.RunOptions{
-		Workers:   2,
-		SpecTrial: RunSpecTrial,
-		GroupKey:  CheckpointGroupKey,
-		GroupTrial: func(ctx context.Context, members []ScenarioSpec) []campaign.GroupResult {
-			groups++
-			groupSizes = append(groupSizes, len(members))
-			return RunCheckpointGroup(ctx, members)
-		},
-	})
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if !second.Finalized {
-		t.Fatal("resume did not finalize")
-	}
-	if second.NewlyDone != 6 {
-		t.Fatalf("resume completed %d cells, want the remaining 6", second.NewlyDone)
-	}
-	if groups == 0 {
-		t.Fatal("resume never forked a group despite forking enabled")
-	}
-	// The interrupted group resumes as a partial group (its remaining
-	// members), not re-running the checkpointed ones.
-	for _, n := range groupSizes {
-		if n > 4 {
-			t.Fatalf("resume forked a %d-member group in a 4-per-group campaign", n)
-		}
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("kill-inside-group resume drifted from uninterrupted forked bytes")
 	}
 }
