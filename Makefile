@@ -50,7 +50,7 @@ profile-smoke:
 		-profile-out /tmp/profile_smoke_attribution.txt > /dev/null
 	$(GO) run ./cmd/satin-sim -lint-trace /tmp/profile_smoke.jsonl
 	$(GO) run ./cmd/satin-sim -lint-chrome /tmp/profile_smoke_chrome.json
-	$(GO) run ./tools/tracediff /tmp/profile_smoke.jsonl /tmp/profile_smoke.jsonl
+	$(GO) run ./cmd/satin-sim -diff /tmp/profile_smoke.jsonl /tmp/profile_smoke.jsonl
 	@echo "profiler artifacts validate; self-diff has zero divergence"
 
 # Fault-injection sensitivity smoke: a reduced sweep (3 magnitudes,
@@ -210,4 +210,6 @@ profile:
 		-cpuprofile /tmp/satin_cpu.prof -memprofile /tmp/satin_mem.prof -o /tmp/satin.test .
 	@echo "inspect with: $(GO) tool pprof /tmp/satin.test /tmp/satin_cpu.prof"
 
-ci: vet build test race determinism spec-corpus-check campaign-smoke campaign-corpus-check serve-smoke docs-check
+# The same targets, in the same order, as .github/workflows/ci.yml's test
+# job, so a local `make ci` runs what CI runs.
+ci: vet build test race determinism sweep-check trace-check profile-smoke sensitivity-smoke spec-corpus-check spec-fuzz-smoke campaign-smoke campaign-corpus-check campaign-fuzz-smoke serve-smoke docs-check cover

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"satin"
 	"satin/internal/serve"
 )
 
@@ -67,7 +69,8 @@ func TestCampaignRunsAndResumes(t *testing.T) {
 	}
 }
 
-// TestCampaignFlagValidation: the campaign-shaping flags demand -campaign.
+// TestCampaignFlagValidation: the campaign-shaping flags demand -campaign,
+// and the cell cap cannot be negative.
 func TestCampaignFlagValidation(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-campaign-out", "x.result"}, &out)
@@ -77,6 +80,16 @@ func TestCampaignFlagValidation(t *testing.T) {
 	err = run([]string{"-campaign-max-cells", "3"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "need -campaign") {
 		t.Fatalf("error = %v, want a need-campaign rejection", err)
+	}
+	// A negative cap would otherwise run the whole campaign: campaign.Run
+	// only honours MaxCells > 0.
+	campaignPath, resultPath := writeMiniCampaign(t)
+	err = run([]string{"-campaign", campaignPath, "-campaign-out", resultPath, "-campaign-max-cells", "-1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-campaign-max-cells -1") {
+		t.Fatalf("error = %v, want a negative-cap rejection", err)
+	}
+	if _, statErr := os.Stat(resultPath); !os.IsNotExist(statErr) {
+		t.Fatalf("rejected run left a result file: %v", statErr)
 	}
 }
 
@@ -143,10 +156,11 @@ func TestCampaignProgressShowsThroughput(t *testing.T) {
 	}
 }
 
-// TestCampaignServeRoundTrip: -campaign-serve submits to a coordinator,
-// -campaign-worker drains it, and the merged result is byte-identical to
-// the local -campaign path.
-func TestCampaignServeRoundTrip(t *testing.T) {
+// TestCampaignRendersServedResult: the supported fleet flow. A coordinator
+// and a serve.RunWorker loop drain the campaign; the downloaded merged
+// result is handed to -campaign-out, and benchtables renders the same
+// tables as a local run from it without rerunning a cell.
+func TestCampaignRendersServedResult(t *testing.T) {
 	s, err := serve.New(serve.Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
@@ -163,39 +177,48 @@ func TestCampaignServeRoundTrip(t *testing.T) {
 		t.Fatalf("local run: %v", err)
 	}
 
-	done := make(chan error, 1)
-	var out, progress bytes.Buffer
-	go func() {
-		done <- runWith([]string{
-			"-campaign", campaignPath, "-campaign-serve", ts.URL,
-			"-campaign-shards", "2", "-campaign-out", servePath, "-progress",
-		}, &out, &progress)
-	}()
-	for len(s.List()) == 0 {
-		time.Sleep(5 * time.Millisecond)
+	data, err := os.ReadFile(campaignPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var workerOut bytes.Buffer
-	if err := run([]string{"-campaign-worker", ts.URL}, &workerOut); err != nil {
+	ctx := context.Background()
+	client := &serve.Client{BaseURL: ts.URL}
+	st, err := client.Submit(ctx, data, 2)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if err := serve.RunWorker(ctx, client, serve.WorkerOptions{
+		Name: "w", Dir: t.TempDir(), Trial: satin.RunSpecTrial, Workers: 1,
+	}); err != nil {
 		t.Fatalf("worker: %v", err)
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("campaign-serve: %v", err)
+	merged, err := client.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatalf("result: %v", err)
 	}
-	if !strings.Contains(out.String(), "campaign complete: 2 cells finalized") {
-		t.Fatalf("serve output:\n%s", out.String())
+	if err := os.WriteFile(servePath, merged, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(progress.String(), "cells/s") {
-		t.Fatalf("serve progress lacks throughput:\n%s", progress.String())
+
+	var servedOut bytes.Buffer
+	if err := run([]string{"-campaign", campaignPath, "-campaign-out", servePath}, &servedOut); err != nil {
+		t.Fatalf("render served result: %v", err)
+	}
+	if want := strings.ReplaceAll(localOut.String(), localPath, servePath); servedOut.String() != want {
+		t.Fatalf("served render differs from local run:\n--- served ---\n%s\n--- local ---\n%s", servedOut.String(), want)
+	}
+	after, err := os.ReadFile(servePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, merged) {
+		t.Fatal("rendering the served result rewrote the file (a cell was rerun)")
 	}
 	local, err := os.ReadFile(localPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, err := os.ReadFile(servePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(local, served) {
-		t.Fatal("sharded-serve result differs from local run bytes")
+	if !bytes.Equal(local, merged) {
+		t.Fatal("served result differs from local run bytes")
 	}
 }

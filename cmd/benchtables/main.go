@@ -48,6 +48,10 @@
 // "Campaigns") into its cell grid and executes it with checkpointed resume:
 //
 //	benchtables -campaign grid.json -campaign-out grid.result -progress
+//
+// A result file a satin-serve fleet merged (satin-serve -result c1 -out
+// FILE) renders the same way: it is already finalized, so -campaign-out
+// FILE reruns no cell and prints the tables.
 package main
 
 import (
@@ -93,9 +97,6 @@ func runWith(args []string, out, errOut io.Writer) error {
 	campaignFile := fs.String("campaign", "", "execute this campaign spec file (grid × faults × seeds) with checkpointed resume")
 	campaignOut := fs.String("campaign-out", "", "campaign result/checkpoint file (default: <campaign>.result)")
 	campaignMaxCells := fs.Int("campaign-max-cells", 0, "stop the campaign after N newly completed cells (checkpointed; 0 = run to completion)")
-	campaignServe := fs.String("campaign-serve", "", "submit -campaign to this satin-serve URL for sharded cross-process execution and render the merged result (byte-identical to a local run)")
-	campaignShards := fs.Int("campaign-shards", 2, "with -campaign-serve: number of shards to partition the campaign into")
-	campaignWorker := fs.String("campaign-worker", "", "run a sharded-campaign worker loop against this satin-serve URL until no work remains")
 
 	defs := experiment.Registry()
 	// Every experiment name is also a boolean shorthand flag:
@@ -113,20 +114,14 @@ func runWith(args []string, out, errOut io.Writer) error {
 	if *metricsOut != "" && *seeds < 2 {
 		return fmt.Errorf("-metrics-out exports per-seed sweep samples; it needs -seeds N > 1")
 	}
-	if *campaignWorker != "" {
-		return runCampaignWorker(errOut, *campaignWorker, *workers)
+	if *campaignMaxCells < 0 {
+		return fmt.Errorf("-campaign-max-cells %d: need 0 (run to completion) or a positive cell count", *campaignMaxCells)
 	}
 	if *campaignFile != "" {
-		if *campaignServe != "" {
-			if *campaignMaxCells != 0 {
-				return fmt.Errorf("-campaign-max-cells is a local-run control; it does not combine with -campaign-serve")
-			}
-			return runCampaignServe(out, errOut, *campaignFile, *campaignOut, *campaignServe, *campaignShards, *progress)
-		}
 		return runCampaignFile(out, errOut, *campaignFile, *campaignOut, *workers, *campaignMaxCells, *progress)
 	}
-	if *campaignOut != "" || *campaignMaxCells != 0 || *campaignServe != "" {
-		return fmt.Errorf("-campaign-out/-campaign-max-cells/-campaign-serve configure a campaign run; they need -campaign FILE")
+	if *campaignOut != "" || *campaignMaxCells != 0 {
+		return fmt.Errorf("-campaign-out/-campaign-max-cells configure a campaign run; they need -campaign FILE")
 	}
 
 	want := map[string]bool{}
@@ -159,7 +154,7 @@ func runWith(args []string, out, errOut io.Writer) error {
 		if !selected(def.Name) {
 			continue
 		}
-		if *seeds > 1 && def.Sweepable() {
+		if *seeds > 1 && def.Trial != nil {
 			var observer runner.Progress
 			if *progress {
 				name, base := def.Name, *seed
@@ -172,13 +167,13 @@ func runWith(args []string, out, errOut io.Writer) error {
 						name, done, total, base+uint64(index), elapsed.Truncate(time.Millisecond), status)
 				}
 			}
-			sw, title, err := def.Sweep(context.Background(), *seed, experiment.Options{
+			sw, err := experiment.Sweep(context.Background(), def, *seed, experiment.Options{
 				Seeds: *seeds, Workers: *workers, Progress: observer,
 			})
 			if err != nil {
 				return fmt.Errorf("%s: %w", def.Name, err)
 			}
-			section(out, title)
+			section(out, def.SweepTitle)
 			fmt.Fprint(out, sw.Render())
 			sweeps = append(sweeps, sw)
 		} else if err := def.Run(out, experiment.RunConfig{

@@ -90,6 +90,62 @@ func TestRunDiffNeedsTwoFiles(t *testing.T) {
 	}
 }
 
+// shiftedTraces writes a two-event trace and a copy whose second event is
+// 500ns late, returning both paths.
+func shiftedTraces(t *testing.T) (a, b string) {
+	t.Helper()
+	dir := t.TempDir()
+	a, b = filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")
+	const first = `{"at_ns":1000,"kind":"round","core":0,"area":1}` + "\n"
+	if err := os.WriteFile(a, []byte(first+`{"at_ns":2000,"kind":"round","core":0,"area":2}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(b, []byte(first+`{"at_ns":2500,"kind":"round","core":0,"area":2}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// TestRunDiffBudget: a 500ns shift fails the exact comparison and passes
+// -diff-budget 1us with a PASS verdict.
+func TestRunDiffBudget(t *testing.T) {
+	a, b := shiftedTraces(t)
+	var out strings.Builder
+	if err := run([]string{"-diff", a, b}, &out); err == nil {
+		t.Fatal("500ns shift passed a zero budget")
+	}
+	out.Reset()
+	if err := run([]string{"-diff", a, "-diff-budget", "1us", b}, &out); err != nil {
+		t.Fatalf("500ns shift failed a 1µs budget: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "PASS") {
+		t.Errorf("missing PASS verdict:\n%s", out.String())
+	}
+}
+
+// TestRunDiffHandWrittenIdentical: a hand-written trace diffed against
+// itself reports zero divergence, independent of the simulator's output.
+func TestRunDiffHandWrittenIdentical(t *testing.T) {
+	a, _ := shiftedTraces(t)
+	var out strings.Builder
+	if err := run([]string{"-diff", a, a}, &out); err != nil {
+		t.Fatalf("self-diff failed: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "zero divergence") {
+		t.Errorf("missing zero-divergence line:\n%s", out.String())
+	}
+}
+
+// TestRunDiffMissingSecondFile: a second trace that does not exist is an
+// error, not an empty stream.
+func TestRunDiffMissingSecondFile(t *testing.T) {
+	a, _ := shiftedTraces(t)
+	var out strings.Builder
+	if err := run([]string{"-diff", a, filepath.Join(t.TempDir(), "missing.jsonl")}, &out); err == nil {
+		t.Fatal("missing second trace accepted")
+	}
+}
+
 // TestRunLintTraceChecksOrder: -lint-trace must reject a stream whose
 // timestamps regress.
 func TestRunLintTraceChecksOrder(t *testing.T) {

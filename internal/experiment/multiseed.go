@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"satin/internal/runner"
@@ -18,10 +19,7 @@ import (
 
 // Options configures the multi-seed form of an experiment: how many
 // independent seeds to run, how wide the worker pool is, and an optional
-// live completion observer. One struct instead of the historical
-// Run*Sweep/Run*SweepObserved pairs: every sweep entry point takes a ctx
-// and an Options, so the registry and the campaign engine can dispatch any
-// experiment uniformly.
+// live completion observer.
 type Options struct {
 	// Seeds is the number of independent seeds (trials); must be >= 1.
 	Seeds int
@@ -46,7 +44,7 @@ func DetectionMetrics(r DetectionResult) runner.Metrics {
 
 // TrialDetection runs one seed of the §VI-B1 detection experiment at the
 // paper's default configuration and flattens it to sweep metrics — the
-// registry's per-seed dispatch form.
+// registry's per-seed form, shared by -seeds sweeps and campaign cells.
 func TrialDetection(_ context.Context, seed uint64) (runner.Metrics, error) {
 	cfg := DefaultDetectionConfig()
 	cfg.Seed = seed
@@ -55,22 +53,6 @@ func TrialDetection(_ context.Context, seed uint64) (runner.Metrics, error) {
 		return nil, err
 	}
 	return DetectionMetrics(res), nil
-}
-
-// RunDetectionSweep runs the §VI-B1 detection experiment for seeds
-// cfg.Seed..cfg.Seed+opt.Seeds-1 across the worker pool.
-func RunDetectionSweep(ctx context.Context, cfg DetectionConfig, opt Options) (*runner.Sweep, error) {
-	base := cfg.Seed
-	return runner.RunSweepObserved(ctx, "SATIN detection (§VI-B1)", base, opt.Seeds, opt.Workers, opt.Progress,
-		func(_ context.Context, seed uint64) (runner.Metrics, error) {
-			c := cfg
-			c.Seed = seed
-			res, err := RunDetection(c)
-			if err != nil {
-				return nil, err
-			}
-			return DetectionMetrics(res), nil
-		})
 }
 
 // EvasionMetrics flattens one seed's EvasionResult into sweep samples.
@@ -93,19 +75,6 @@ func TrialEvasion(_ context.Context, seed uint64) (runner.Metrics, error) {
 	return EvasionMetrics(res), nil
 }
 
-// RunEvasionSweep runs the §IV TZ-Evader-vs-baseline experiment for seeds
-// base..base+opt.Seeds-1 across the worker pool.
-func RunEvasionSweep(ctx context.Context, base uint64, rounds int, period time.Duration, opt Options) (*runner.Sweep, error) {
-	return runner.RunSweepObserved(ctx, "TZ-Evader vs baseline (§IV)", base, opt.Seeds, opt.Workers, opt.Progress,
-		func(_ context.Context, seed uint64) (runner.Metrics, error) {
-			res, err := RunEvasion(seed, rounds, period)
-			if err != nil {
-				return nil, err
-			}
-			return EvasionMetrics(res), nil
-		})
-}
-
 // RaceMetrics flattens one seed's RaceResult into sweep samples.
 func RaceMetrics(r RaceResult) runner.Metrics {
 	m := runner.Metrics{}.Add("unprotected (empirical)", r.UnprotectedEmpirical)
@@ -123,13 +92,15 @@ func TrialRace(_ context.Context, seed uint64) (runner.Metrics, error) {
 	return RaceMetrics(res), nil
 }
 
-// RunRaceSweep runs the §IV-C race analysis for seeds
-// base..base+opt.Seeds-1 across the worker pool.
-func RunRaceSweep(ctx context.Context, base uint64, opt Options) (*runner.Sweep, error) {
-	return runner.RunSweepObserved(ctx, "race-condition analysis (§IV-C)", base, opt.Seeds, opt.Workers, opt.Progress,
-		func(_ context.Context, seed uint64) (runner.Metrics, error) {
-			return TrialRace(ctx, seed)
-		})
+// Sweep runs d's per-seed Trial for seeds seed..seed+opt.Seeds-1 across the
+// worker pool, naming the sweep d.SweepName. It is the one multi-seed form
+// of every registry experiment: benchtables -seeds and campaign cells run
+// the same Trial, so the two cannot drift apart.
+func Sweep(ctx context.Context, d Definition, seed uint64, opt Options) (*runner.Sweep, error) {
+	if d.Trial == nil {
+		return nil, fmt.Errorf("experiment: %s has no per-seed trial form", d.Name)
+	}
+	return runner.RunSweepObserved(ctx, d.SweepName, seed, opt.Seeds, opt.Workers, opt.Progress, d.Trial)
 }
 
 // ratio divides, reporting 0 for an empty denominator.

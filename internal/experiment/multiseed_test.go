@@ -4,75 +4,77 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"satin/internal/runner"
 )
 
-// sweepCfg is a reduced detection config so multi-seed tests stay fast; the
-// full 10-scan configuration is exercised by the serial detection tests.
-func sweepCfg() DetectionConfig {
-	cfg := DefaultDetectionConfig()
-	cfg.FullScans = 2
-	return cfg
-}
-
-// TestDeterminismSweepWorkerInvariance is the ISSUE's determinism
-// regression: a multi-seed sweep must render byte-identical aggregated
-// output with workers=1 and workers=8. This is what lets EXPERIMENTS.md
-// quote sweep numbers without pinning a worker count.
-func TestDeterminismSweepWorkerInvariance(t *testing.T) {
-	cfg := sweepCfg()
-	serial, err := RunDetectionSweep(context.Background(), cfg, Options{Seeds: 4, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+// registrySweep runs the named registry experiment's multi-seed form — the
+// path benchtables -seeds takes.
+func registrySweep(t *testing.T, name string, seeds, workers int) *runner.Sweep {
+	t.Helper()
+	def, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("%s not registered", name)
 	}
-	parallel, err := RunDetectionSweep(context.Background(), cfg, Options{Seeds: 4, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, p := serial.Render(), parallel.Render(); s != p {
-		t.Errorf("workers=1 and workers=8 disagree:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", s, p)
-	}
-}
-
-// TestDeterminismSweepMatchesSerialDriver pins the sweep's per-seed numbers
-// to the existing single-seed drivers: seed 1 inside a sweep must reproduce
-// exactly what RunDetection/RunEvasion report when called directly, so
-// adding the runner cannot silently shift EXPERIMENTS.md's numbers.
-func TestDeterminismSweepMatchesSerialDriver(t *testing.T) {
-	cfg := sweepCfg()
-	direct, err := RunDetection(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := RunDetectionSweep(context.Background(), cfg, Options{Seeds: 3, Workers: 8})
+	sw, err := Sweep(context.Background(), def, 1, Options{Seeds: seeds, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sw.Failures) != 0 {
-		t.Fatalf("sweep failures: %+v", sw.Failures)
+		t.Fatalf("%s sweep failures: %+v", name, sw.Failures)
 	}
-	want := DetectionMetrics(direct)
-	for _, s := range want {
-		samples := sw.Samples(s.Name)
-		if len(samples) != 3 {
-			t.Fatalf("metric %q has %d samples, want 3", s.Name, len(samples))
-		}
-		if samples[0] != s.Value {
-			t.Errorf("metric %q: sweep seed 1 = %v, serial driver = %v", s.Name, samples[0], s.Value)
-		}
-	}
+	return sw
+}
 
-	evDirect, err := RunEvasion(1, 5, 8*time.Second)
+// TestDeterminismSweepWorkerInvariance is the determinism regression: a
+// multi-seed sweep must render byte-identical aggregated output with
+// workers=1 and workers=8. This is what lets EXPERIMENTS.md quote sweep
+// numbers without pinning a worker count.
+func TestDeterminismSweepWorkerInvariance(t *testing.T) {
+	for _, name := range []string{"detection", "evasion", "race"} {
+		t.Run(name, func(t *testing.T) {
+			serial := registrySweep(t, name, 2, 1)
+			parallel := registrySweep(t, name, 2, 8)
+			if s, p := serial.Render(), parallel.Render(); s != p {
+				t.Errorf("workers=1 and workers=8 disagree:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", s, p)
+			}
+		})
+	}
+}
+
+// TestDeterminismSweepMatchesSerialDriver pins the sweep's per-seed numbers
+// to the single-seed drivers: seed 1 inside a sweep must reproduce exactly
+// what RunDetection/RunEvasion/RunRace report when called directly, so the
+// runner cannot silently shift EXPERIMENTS.md's numbers.
+func TestDeterminismSweepMatchesSerialDriver(t *testing.T) {
+	direct, err := RunDetection(DefaultDetectionConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	evSweep, err := RunEvasionSweep(context.Background(), 1, 5, 8*time.Second, Options{Seeds: 2, Workers: 2})
+	evDirect, err := RunEvasion(1, 10, 8*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range EvasionMetrics(evDirect) {
-		if got := evSweep.Samples(s.Name); len(got) != 2 || got[0] != s.Value {
-			t.Errorf("evasion metric %q: sweep = %v, serial seed 1 = %v", s.Name, got, s.Value)
-		}
+	raceDirect, err := RunRace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		want runner.Metrics
+	}{
+		{"detection", DetectionMetrics(direct)},
+		{"evasion", EvasionMetrics(evDirect)},
+		{"race", RaceMetrics(raceDirect)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sw := registrySweep(t, c.name, 2, 2)
+			for _, s := range c.want {
+				if got := sw.Samples(s.Name); len(got) != 2 || got[0] != s.Value {
+					t.Errorf("metric %q: sweep = %v, serial seed 1 = %v", s.Name, got, s.Value)
+				}
+			}
+		})
 	}
 }
 
@@ -80,13 +82,7 @@ func TestDeterminismSweepMatchesSerialDriver(t *testing.T) {
 // rests on: across seeds, the detection rate stays 1.0 (every pass over the
 // attacked area raises the alarm) with zero prober false reports.
 func TestDetectionSweepRates(t *testing.T) {
-	sw, err := RunDetectionSweep(context.Background(), sweepCfg(), Options{Seeds: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sw.Failures) != 0 {
-		t.Fatalf("failures: %+v", sw.Failures)
-	}
+	sw := registrySweep(t, "detection", 3, 0)
 	if d := sw.Dist("detection rate"); d.Min != 1 || d.Max != 1 {
 		t.Errorf("detection rate over seeds = %+v, want constant 1.0", d)
 	}
@@ -104,18 +100,24 @@ func TestRaceSweepTracksAnalyticBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("race sweep is ~1s per seed")
 	}
-	sw, err := RunRaceSweep(context.Background(), 1, Options{Seeds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sw.Failures) != 0 {
-		t.Fatalf("failures: %+v", sw.Failures)
-	}
+	sw := registrySweep(t, "race", 2, 0)
 	d := sw.Dist("unprotected (empirical)")
 	if d.Min < 0.75 || d.Max > 1 {
 		t.Errorf("unprotected fraction over seeds = %+v, want within [0.75, 1]", d)
 	}
 	if a := sw.Dist("unprotected (analytic)"); a.Min != a.Max {
 		t.Errorf("analytic bound varies across seeds: %+v", a)
+	}
+}
+
+// TestSweepNeedsTrial: an experiment without a per-seed form has no
+// multi-seed form either.
+func TestSweepNeedsTrial(t *testing.T) {
+	def, ok := Lookup("table1")
+	if !ok {
+		t.Fatal("table1 not registered")
+	}
+	if _, err := Sweep(context.Background(), def, 1, Options{Seeds: 2}); err == nil {
+		t.Error("Sweep of an experiment without a Trial succeeded")
 	}
 }

@@ -45,13 +45,16 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
-// TestRegistrySweepablesHaveTrials: every experiment with a multi-seed form
-// also has the per-seed trial form the campaign executor dispatches.
-func TestRegistrySweepablesHaveTrials(t *testing.T) {
+// TestRegistryTrialsHaveSweepLabels: every experiment with a per-seed
+// Trial names its multi-seed form (sweep name and benchtables section
+// title), and an experiment without a Trial carries neither label.
+func TestRegistryTrialsHaveSweepLabels(t *testing.T) {
 	for _, d := range experiment.Registry() {
-		if d.Sweepable() != (d.Trial != nil) {
-			t.Errorf("experiment %q: sweep %v but trial %v — campaign cells and -seeds sweeps must agree",
-				d.Name, d.Sweepable(), d.Trial != nil)
+		if d.Trial != nil && (d.SweepName == "" || d.SweepTitle == "") {
+			t.Errorf("experiment %q has a trial but sweep name %q, title %q", d.Name, d.SweepName, d.SweepTitle)
+		}
+		if d.Trial == nil && (d.SweepName != "" || d.SweepTitle != "") {
+			t.Errorf("experiment %q has no trial but sweep name %q, title %q", d.Name, d.SweepName, d.SweepTitle)
 		}
 	}
 }
@@ -77,7 +80,8 @@ func TestRegistryRunRendersSection(t *testing.T) {
 }
 
 // TestRegistryTrialMatchesSweep: one seed through the trial form produces
-// the same metrics the sweep aggregates for that seed.
+// exactly the metrics the sweep aggregates for that seed, under the
+// registry's sweep name.
 func TestRegistryTrialMatchesSweep(t *testing.T) {
 	def, ok := experiment.Lookup("race")
 	if !ok {
@@ -87,9 +91,12 @@ func TestRegistryTrialMatchesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Trial: %v", err)
 	}
-	sw, _, err := def.Sweep(context.Background(), 1, experiment.Options{Seeds: 1, Workers: 1})
+	sw, err := experiment.Sweep(context.Background(), def, 1, experiment.Options{Seeds: 1, Workers: 1})
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
+	}
+	if sw.Name != def.SweepName {
+		t.Errorf("sweep name %q, want %q", sw.Name, def.SweepName)
 	}
 	var csv bytes.Buffer
 	if err := sw.WriteCSV(&csv); err != nil {
@@ -98,6 +105,9 @@ func TestRegistryTrialMatchesSweep(t *testing.T) {
 	for _, m := range metrics {
 		if !strings.Contains(csv.String(), m.Name) {
 			t.Errorf("sweep CSV missing trial metric %q", m.Name)
+		}
+		if got := sw.Samples(m.Name); len(got) != 1 || got[0] != m.Value {
+			t.Errorf("metric %q: sweep = %v, trial = %v", m.Name, got, m.Value)
 		}
 	}
 }

@@ -23,7 +23,10 @@ type Rig struct {
 }
 
 // NewRig assembles the standard testbed with deterministic streams derived
-// from seed.
+// from seed: the image from seed, the rich OS from seed+1, the checker
+// from seed+2 and the monitor from seed+3. It is the one board builder:
+// the experiment drivers, the satin facade's NewScenario and tzevader all
+// boot through it, so the build order and seed offsets live only here.
 func NewRig(seed uint64) (*Rig, error) {
 	e := simclock.NewEngine()
 	p, err := hw.NewJunoR1(e)

@@ -31,6 +31,7 @@ import (
 
 	"satin/internal/attack"
 	"satin/internal/core"
+	"satin/internal/experiment"
 	"satin/internal/faultinject"
 	"satin/internal/hw"
 	"satin/internal/introspect"
@@ -231,7 +232,7 @@ func MergeProfiles(sums []ProfileSummary) ProfileSummary { return profile.Merge(
 
 // DiffTraces aligns two exported event streams by (kind, core, area) and
 // reports first divergence plus per-group latency deltas — the regression
-// gate behind `satin-sim -diff` and tools/tracediff.
+// gate behind `satin-sim -diff`.
 func DiffTraces(a, b []TimelineEvent) TraceDiffReport { return trace.Diff(a, b) }
 
 // CheckTraceOrdered verifies a stream's timestamps are non-decreasing, as
@@ -305,13 +306,10 @@ const DefaultThreshold = 1800 * time.Microsecond
 // Scenario is a fully assembled testbed: platform, monitor, kernel image,
 // rich OS, and optionally SATIN, a baseline checker, and an evader.
 type Scenario struct {
-	seed    uint64
-	engine  *simclock.Engine
-	plat    *hw.Platform
-	image   *mem.Image
-	monitor *trustzone.Monitor
-	os      *richos.OS
-	checker *introspect.Checker
+	seed uint64
+	// rig is the assembled board: engine, platform, image, rich OS,
+	// checker and secure monitor, built by experiment.NewRig.
+	rig *experiment.Rig
 
 	satin      *core.SATIN
 	baseline   *introspect.Baseline
@@ -495,41 +493,20 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 		return nil, fmt.Errorf("satin: unknown routing mode %v", o.routing)
 	}
 
-	engine := simclock.NewEngine()
-	plat, err := hw.NewJunoR1(engine)
+	rig, err := experiment.NewRig(o.seed)
 	if err != nil {
 		return nil, err
 	}
-	image, err := mem.NewJunoImage(o.seed)
-	if err != nil {
-		return nil, err
-	}
-	osim, err := richos.NewOS(plat, image, richos.Config{Seed: o.seed + 1})
-	if err != nil {
-		return nil, err
-	}
-	checker, err := introspect.NewChecker(image, plat.Perf(), o.seed+2, introspect.HashDjb2, 0)
-	if err != nil {
-		return nil, err
-	}
+	plat, image, osim, monitor, checker := rig.Plat, rig.Image, rig.OS, rig.Monitor, rig.Checker
 	checker.SetHashCache(!o.noHashCache)
-	sc := &Scenario{
-		seed:     o.seed,
-		engine:   engine,
-		plat:     plat,
-		image:    image,
-		monitor:  trustzone.NewMonitor(plat, o.seed+3),
-		os:       osim,
-		checker:  checker,
-		timeline: &trace.Timeline{},
-	}
-	sc.monitor.SetRouting(o.routing)
+	monitor.SetRouting(o.routing)
+	sc := &Scenario{seed: o.seed, rig: rig, timeline: &trace.Timeline{}}
 	if !o.noObs {
 		sc.bus = obs.NewBus()
 		sc.reg = obs.NewRegistry()
 		sc.bus.Subscribe(sc.timeline.Observe)
-		sc.monitor.Observe(sc.bus, sc.reg)
-		sc.checker.Observe(sc.reg)
+		monitor.Observe(sc.bus, sc.reg)
+		checker.Observe(sc.reg)
 	}
 	if o.guard {
 		sc.guard = syncguard.New(osim)
@@ -585,7 +562,7 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 
 	// Defense side.
 	if o.satinCfg != nil {
-		s, err := core.NewJuno(plat, sc.monitor, image, checker, *o.satinCfg)
+		s, err := core.NewJuno(plat, monitor, image, checker, *o.satinCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -596,7 +573,7 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 		sc.satin = s
 	}
 	if o.baselineCfg != nil {
-		b, err := introspect.NewBaseline(plat, sc.monitor, checker, image, o.seed+7, *o.baselineCfg)
+		b, err := introspect.NewBaseline(plat, monitor, checker, image, o.seed+7, *o.baselineCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -620,7 +597,7 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 	// hotplug re-routing finds SATIN already subscribed and jitter rescales
 	// the final calibrated rates. Skipped entirely for the empty plan.
 	if !o.faults.Empty() {
-		inj, err := faultinject.Install(o.faults, plat, sc.monitor, o.seed+8, sc.bus, sc.reg)
+		inj, err := faultinject.Install(o.faults, plat, monitor, o.seed+8, sc.bus, sc.reg)
 		if err != nil {
 			return nil, err
 		}
@@ -635,8 +612,8 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 		if sc.bus != nil {
 			sc.bus.Subscribe(p.OnEvent)
 		}
-		sc.monitor.SetProfiler(p)
-		sc.checker.SetProfiler(p)
+		monitor.SetProfiler(p)
+		checker.SetProfiler(p)
 		if sc.satin != nil {
 			sc.satin.SetProfiler(p)
 		}
@@ -652,35 +629,35 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 }
 
 // Run advances virtual time by d.
-func (s *Scenario) Run(d time.Duration) { s.engine.RunFor(d) }
+func (s *Scenario) Run(d time.Duration) { s.rig.Engine.RunFor(d) }
 
 // RunToCompletion drains every pending event. Use it only with bounded
 // configurations (MaxRounds on SATIN/baseline) and WITHOUT the thread-level
 // evader or workloads: perpetual threads schedule events forever, so a
 // scenario containing them never drains — drive those with Run instead.
-func (s *Scenario) RunToCompletion() { s.engine.Run() }
+func (s *Scenario) RunToCompletion() { s.rig.Engine.Run() }
 
 // Now reports the current virtual time since boot.
-func (s *Scenario) Now() time.Duration { return s.engine.Now().Duration() }
+func (s *Scenario) Now() time.Duration { return s.rig.Engine.Now().Duration() }
 
 // Engine returns the discrete-event engine.
-func (s *Scenario) Engine() *Engine { return s.engine }
+func (s *Scenario) Engine() *Engine { return s.rig.Engine }
 
 // Platform returns the simulated board.
-func (s *Scenario) Platform() *Platform { return s.plat }
+func (s *Scenario) Platform() *Platform { return s.rig.Plat }
 
 // Image returns the kernel image.
-func (s *Scenario) Image() *Image { return s.image }
+func (s *Scenario) Image() *Image { return s.rig.Image }
 
 // OS returns the rich OS.
-func (s *Scenario) OS() *OS { return s.os }
+func (s *Scenario) OS() *OS { return s.rig.OS }
 
 // Monitor returns the secure monitor.
-func (s *Scenario) Monitor() *Monitor { return s.monitor }
+func (s *Scenario) Monitor() *Monitor { return s.rig.Monitor }
 
 // Checker returns the secure-world memory checker, for inspecting the
 // incremental hash cache (CacheStats, HashCacheEnabled) and the hash kind.
-func (s *Scenario) Checker() *Checker { return s.checker }
+func (s *Scenario) Checker() *Checker { return s.rig.Checker }
 
 // SATIN returns the SATIN service, or nil if not installed.
 func (s *Scenario) SATIN() *SATIN { return s.satin }
@@ -737,9 +714,9 @@ func (s *Scenario) Metrics() MetricsSnapshot {
 	if s.reg == nil {
 		return MetricsSnapshot{}
 	}
-	s.reg.Gauge("engine.virtual_time_ns").Set(int64(s.engine.Now()))
-	s.reg.Gauge("engine.events_dispatched").Set(int64(s.engine.Dispatched()))
-	s.reg.Gauge("engine.pending_events").Set(int64(s.engine.Pending()))
+	s.reg.Gauge("engine.virtual_time_ns").Set(int64(s.rig.Engine.Now()))
+	s.reg.Gauge("engine.events_dispatched").Set(int64(s.rig.Engine.Dispatched()))
+	s.reg.Gauge("engine.pending_events").Set(int64(s.rig.Engine.Pending()))
 	return s.reg.Snapshot()
 }
 
