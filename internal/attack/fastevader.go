@@ -41,7 +41,7 @@ type FastEvader struct {
 	suspected   map[int]bool
 	events      []Event
 	obs         evaderObs
-	pending     map[int]*simclock.Handle // detection events per core
+	pending     map[int]simclock.Handle // detection events per core
 	started     bool
 	// prof receives evader spans on the dedicated evader track (nil unless
 	// SetProfiler was called; every emit is nil-safe).
@@ -76,7 +76,7 @@ func NewFastEvader(p *hw.Platform, image *mem.Image, rootkit *Rootkit, sleep, th
 		state:       EvaderAttacking,
 		secureCores: make(map[int]simclock.Time),
 		suspected:   make(map[int]bool),
-		pending:     make(map[int]*simclock.Handle),
+		pending:     make(map[int]simclock.Handle),
 	}, nil
 }
 

@@ -22,6 +22,9 @@ type InterruptFlood struct {
 	cores    []int
 	running  bool
 	raised   int
+	// next is the tick method value, bound once so rescheduling the flood
+	// allocates nothing.
+	next func()
 }
 
 // NewInterruptFlood prepares a flood at the given per-core rate (interrupts
@@ -41,12 +44,14 @@ func NewInterruptFlood(p *hw.Platform, rate float64, cores []int) (*InterruptFlo
 			return nil, fmt.Errorf("attack: flood core %d out of range", c)
 		}
 	}
-	return &InterruptFlood{
+	f := &InterruptFlood{
 		platform: p,
 		engine:   p.Engine(),
 		period:   time.Duration(float64(time.Second) / rate),
 		cores:    cores,
-	}, nil
+	}
+	f.next = f.tick
+	return f, nil
 }
 
 // Start configures the SGI line and begins raising interrupts. The
@@ -78,5 +83,5 @@ func (f *InterruptFlood) tick() {
 		f.platform.GIC().Raise(hw.IntSGIFlood, c)
 		f.raised++
 	}
-	f.engine.After(f.period, "sgi-flood", f.tick)
+	f.engine.After(f.period, "sgi-flood", f.next)
 }

@@ -75,8 +75,8 @@ type SATIN struct {
 	// Hotplug re-routing state (§V-D collaboration under core unplug): when
 	// a participating core goes offline, its wake-queue slot is served by
 	// SMC-driven rounds on a surviving core until it returns.
-	orphans   map[int]*simclock.Handle // slot-owner index → pending re-routed wake
-	uncovered map[int]bool             // slots stalled because every core is offline
+	orphans   map[int]simclock.Handle // slot-owner index → pending re-routed wake
+	uncovered map[int]bool            // slots stalled because every core is offline
 	reroutes  int
 
 	// Observability (nil unless Observe was called; all nil-safe).
@@ -184,7 +184,7 @@ func (s *SATIN) Start() error {
 		s.partIndex[coreID] = i
 	}
 	s.partCores = cores
-	s.orphans = make(map[int]*simclock.Handle)
+	s.orphans = make(map[int]simclock.Handle)
 	s.uncovered = make(map[int]bool)
 	s.queue = NewWakeQueue(len(cores), s.tp, s.cfg.RandomDeviation, s.rng, now)
 	for _, coreID := range cores {
@@ -335,7 +335,7 @@ func (s *SATIN) onHotplug(c *hw.Core, online bool) {
 		return
 	}
 	delete(s.uncovered, owner)
-	if h := s.orphans[owner]; h != nil {
+	if h, ok := s.orphans[owner]; ok {
 		h.Cancel()
 		delete(s.orphans, owner)
 	}

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // IntID identifies an interrupt line. The two lines the paper's mechanisms
@@ -39,7 +40,24 @@ func (id IntID) String() string {
 	}
 }
 
-// Group is an interrupt security group.
+// numIntIDs bounds the interrupt ID space: GICv2 numbers its lines 0–1019
+// (1020–1023 are reserved for special purposes).
+const numIntIDs = 1020
+
+// valid reports whether id names a line in the GIC's ID space.
+func (id IntID) valid() bool { return id >= 0 && id < numIntIDs }
+
+// pendSet is one core's set of pending interrupt lines, one bit per ID. A
+// set, not a count: hardware pends a level.
+type pendSet [(numIntIDs + 63) / 64]uint64
+
+func (s *pendSet) set(id IntID)      { s[id/64] |= 1 << (id % 64) }
+func (s *pendSet) clear(id IntID)    { s[id/64] &^= 1 << (id % 64) }
+func (s *pendSet) has(id IntID) bool { return s[id/64]&(1<<(id%64)) != 0 }
+func (s *pendSet) empty() bool       { return *s == pendSet{} }
+
+// Group is an interrupt security group. The zero Group marks a line no one
+// has configured.
 type Group int
 
 // Interrupt groups, per the ARM interrupt management framework: secure
@@ -64,13 +82,10 @@ type Handler func(coreID int)
 //     the GIC and are delivered when the core returns to the normal world
 //     (the non-preemptive secure mode of §II-B that SATIN requires).
 type GIC struct {
-	handlers map[IntID]Handler
-	groups   map[IntID]Group
-	cores    []*Core
-	// pending[coreID] holds non-secure interrupt IDs waiting for the core
-	// to return to the normal world. A set: hardware pends a level, not a
-	// count.
-	pending []map[IntID]bool
+	cores []*Core
+	// pending[coreID] holds the interrupt lines waiting for the core to
+	// return to the normal world (or come back online).
+	pending []pendSet
 	// preemptive, when set, is consulted for a non-secure interrupt
 	// targeting a core in the secure world: returning true delivers the
 	// interrupt immediately (the preemptive secure mode of §II-B) instead
@@ -83,22 +98,20 @@ type GIC struct {
 	// layer installs it to model delayed and dropped interrupts; when nil
 	// (the default), Raise routes directly with zero overhead.
 	intercept func(id IntID, coreID int) bool
+	// groups and handlers are indexed by IntID across the whole ID space,
+	// so routing an interrupt is two array loads.
+	groups   [numIntIDs]Group
+	handlers [numIntIDs]Handler
 }
 
 // newGIC wires the controller to the platform's cores.
 func newGIC(cores []*Core) *GIC {
 	g := &GIC{
-		handlers: make(map[IntID]Handler),
-		groups: map[IntID]Group{
-			IntSecureTimer: GroupSecure,
-			IntNSTimer:     GroupNonSecure,
-		},
 		cores:   cores,
-		pending: make([]map[IntID]bool, len(cores)),
+		pending: make([]pendSet, len(cores)),
 	}
-	for i := range g.pending {
-		g.pending[i] = make(map[IntID]bool)
-	}
+	g.groups[IntSecureTimer] = GroupSecure
+	g.groups[IntNSTimer] = GroupNonSecure
 	for _, c := range cores {
 		c.OnWorldChange(func(c *Core, _, newWorld World) {
 			if newWorld == NormalWorld {
@@ -116,15 +129,25 @@ func newGIC(cores []*Core) *GIC {
 
 // Configure sets the security group of an interrupt line. The platform
 // pre-configures the two timer PPIs; tests use this for synthetic lines.
+// An ID outside [0, numIntIDs) panics.
 func (g *GIC) Configure(id IntID, group Group) {
+	mustBeValid(id)
 	g.groups[id] = group
 }
 
 // Register installs the handler for an interrupt line, replacing any
 // previous handler. The trustzone monitor registers for secure lines; the
-// rich OS registers for non-secure lines.
+// rich OS registers for non-secure lines. An ID outside [0, numIntIDs)
+// panics.
 func (g *GIC) Register(id IntID, h Handler) {
+	mustBeValid(id)
 	g.handlers[id] = h
+}
+
+func mustBeValid(id IntID) {
+	if !id.valid() {
+		panic(fmt.Sprintf("hw: interrupt %v outside the GIC's ID space [0, %d)", id, numIntIDs))
+	}
 }
 
 // Raise asserts interrupt id targeting core coreID and routes it according
@@ -148,14 +171,17 @@ func (g *GIC) Deliver(id IntID, coreID int) {
 }
 
 func (g *GIC) route(id IntID, coreID int) {
-	group, ok := g.groups[id]
-	if !ok {
+	var group Group
+	if id.valid() {
+		group = g.groups[id]
+	}
+	if group == 0 {
 		panic(fmt.Sprintf("hw: interrupt %v raised without a configured group", id))
 	}
 	if !g.cores[coreID].Online() {
 		// An offline core takes no interrupts in either group; the GIC
 		// holds the level until the core is powered back on.
-		g.pending[coreID][id] = true
+		g.pending[coreID].set(id)
 		return
 	}
 	switch group {
@@ -168,7 +194,7 @@ func (g *GIC) route(id IntID, coreID int) {
 				g.dispatch(id, coreID)
 				return
 			}
-			g.pending[coreID][id] = true
+			g.pending[coreID].set(id)
 			return
 		}
 		g.dispatch(id, coreID)
@@ -190,38 +216,37 @@ func (g *GIC) SetRaiseInterceptor(fn func(id IntID, coreID int) bool) {
 }
 
 // PendingOn reports whether interrupt id is pending delivery on core coreID.
+// An ID outside the GIC's ID space is never pending.
 func (g *GIC) PendingOn(id IntID, coreID int) bool {
-	return g.pending[coreID][id]
+	return id.valid() && g.pending[coreID].has(id)
 }
 
 func (g *GIC) dispatch(id IntID, coreID int) {
-	h, ok := g.handlers[id]
-	if !ok {
+	h := g.handlers[id]
+	if h == nil {
 		panic(fmt.Sprintf("hw: interrupt %v raised on core %d with no handler", id, coreID))
 	}
 	h(coreID)
 }
 
 // drainPending delivers interrupts that pended while the core was in the
-// secure world. Delivery order is numeric interrupt ID, matching GIC
-// priority order for same-priority lines and keeping the simulation
-// deterministic.
+// secure world (or offline). Delivery order is numeric interrupt ID,
+// matching GIC priority order for same-priority lines and keeping the
+// simulation deterministic. The drain works from a snapshot of the set taken
+// at its start, clearing each line just before delivering it. A line that
+// pends during the drain waits for the next one, unless the snapshot still
+// holds it.
 func (g *GIC) drainPending(coreID int) {
-	p := g.pending[coreID]
-	if len(p) == 0 {
+	snap := g.pending[coreID]
+	if snap.empty() {
 		return
 	}
-	ids := make([]IntID, 0, len(p))
-	for id := range p {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+	for w, word := range snap {
+		for word != 0 {
+			id := IntID(w*64 + bits.TrailingZeros64(word))
+			word &= word - 1
+			g.pending[coreID].clear(id)
+			g.dispatch(id, coreID)
 		}
-	}
-	for _, id := range ids {
-		delete(p, id)
-		g.dispatch(id, coreID)
 	}
 }

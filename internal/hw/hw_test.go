@@ -2,6 +2,7 @@ package hw
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -316,6 +317,105 @@ func TestGICPendingDrainOrder(t *testing.T) {
 	}
 }
 
+// TestGICDrainHandlerReRaises: a handler that re-raises lines in the middle
+// of a drain, with the core back in the normal world, gets them delivered
+// at once; a line still due in the drain's snapshot is then delivered
+// again when the drain reaches it.
+func TestGICDrainHandlerReRaises(t *testing.T) {
+	_, p := newTestPlatform(t)
+	const (
+		intA IntID = 40
+		intB IntID = 41
+	)
+	g := p.GIC()
+	g.Configure(intA, GroupNonSecure)
+	g.Configure(intB, GroupNonSecure)
+	var order []IntID
+	g.Register(intA, func(coreID int) {
+		order = append(order, intA)
+		if len(order) == 1 {
+			g.Raise(intA, coreID)
+			g.Raise(intB, coreID)
+		}
+	})
+	g.Register(intB, func(int) { order = append(order, intB) })
+	c := p.Core(0)
+	c.SetWorld(SecureWorld)
+	g.Raise(intB, 0)
+	g.Raise(intA, 0)
+	c.SetWorld(NormalWorld)
+	want := []IntID{intA, intA, intB, intB}
+	if len(order) != len(want) {
+		t.Fatalf("delivery order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("delivery order = %v, want %v", order, want)
+		}
+	}
+	if g.PendingOn(intA, 0) || g.PendingOn(intB, 0) {
+		t.Error("a line is still pending after the drain")
+	}
+}
+
+// TestGICDrainHandlerReentersSecureWorld: a handler that sends the core back
+// to the secure world in the middle of a drain does not stop it. The rest of
+// the snapshot taken at drain start is still delivered; lines raised after
+// the switch pend, except one the snapshot still holds, whose level the
+// drain consumes when it delivers it.
+func TestGICDrainHandlerReentersSecureWorld(t *testing.T) {
+	_, p := newTestPlatform(t)
+	const (
+		intA IntID = 40
+		intB IntID = 41
+		intC IntID = 42
+		intD IntID = 43
+	)
+	g := p.GIC()
+	var order []IntID
+	c := p.Core(0)
+	for _, id := range []IntID{intA, intB, intC, intD} {
+		id := id
+		g.Configure(id, GroupNonSecure)
+		g.Register(id, func(coreID int) {
+			order = append(order, id)
+			if id == intA && len(order) == 1 {
+				c.SetWorld(SecureWorld)
+				g.Raise(intD, coreID)
+				g.Raise(intA, coreID)
+				g.Raise(intB, coreID)
+			}
+		})
+	}
+	c.SetWorld(SecureWorld)
+	g.Raise(intC, 0)
+	g.Raise(intB, 0)
+	g.Raise(intA, 0)
+	c.SetWorld(NormalWorld)
+	check := func(want []IntID) {
+		t.Helper()
+		if len(order) != len(want) {
+			t.Fatalf("delivery order = %v, want %v", order, want)
+		}
+		for i := range want {
+			if order[i] != want[i] {
+				t.Fatalf("delivery order = %v, want %v", order, want)
+			}
+		}
+	}
+	check([]IntID{intA, intB, intC})
+	if c.World() != SecureWorld {
+		t.Fatalf("core in %v after the drain, want secure", c.World())
+	}
+	for id, want := range map[IntID]bool{intA: true, intB: false, intC: false, intD: true} {
+		if got := g.PendingOn(id, 0); got != want {
+			t.Errorf("PendingOn(%v) = %v, want %v", id, got, want)
+		}
+	}
+	c.SetWorld(NormalWorld)
+	check([]IntID{intA, intB, intC, intA, intD})
+}
+
 func TestGICUnconfiguredInterruptPanics(t *testing.T) {
 	_, p := newTestPlatform(t)
 	defer func() {
@@ -324,6 +424,43 @@ func TestGICUnconfiguredInterruptPanics(t *testing.T) {
 		}
 	}()
 	p.GIC().Raise(IntID(99), 0)
+}
+
+// TestGICOutOfRangeIDs: IDs outside the GICv2 space [0, 1020) get defined
+// outcomes, never an index-out-of-range runtime error.
+func TestGICOutOfRangeIDs(t *testing.T) {
+	_, p := newTestPlatform(t)
+	g := p.GIC()
+	panicsWith := func(what, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			msg, ok := r.(string)
+			if !ok || !strings.HasPrefix(msg, "hw: ") || !strings.Contains(msg, want) {
+				t.Errorf("%s panicked with %v, want an hw: message containing %q", what, r, want)
+			}
+		}()
+		fn()
+	}
+	for _, id := range []IntID{-1, 1020, 5000} {
+		panicsWith("Configure", "outside the GIC's ID space", func() { g.Configure(id, GroupNonSecure) })
+		panicsWith("Register", "outside the GIC's ID space", func() { g.Register(id, func(int) {}) })
+		panicsWith("Raise", "raised without a configured group", func() { g.Raise(id, 0) })
+		if g.PendingOn(id, 0) {
+			t.Errorf("PendingOn(%d) = true", int(id))
+		}
+	}
+	// The edges of the space are ordinary lines.
+	for _, id := range []IntID{0, 1019} {
+		g.Configure(id, GroupNonSecure)
+		delivered := false
+		g.Register(id, func(int) { delivered = true })
+		g.Raise(id, 0)
+		if !delivered {
+			t.Errorf("line %d not delivered", int(id))
+		}
+	}
 }
 
 func TestGICUnhandledInterruptPanics(t *testing.T) {

@@ -24,11 +24,26 @@ type SecureTimer struct {
 	gic     *GIC
 	enabled bool
 	cval    simclock.Time
-	pending *simclock.Handle
+	pending simclock.Handle
+	// name and fire are the fire event's label and callback, built once so
+	// that arming the timer — every SATIN round does — allocates nothing.
+	name string
+	fire func()
 }
 
 func newSecureTimer(core *Core, engine *simclock.Engine, gic *GIC) *SecureTimer {
-	return &SecureTimer{core: core, engine: engine, gic: gic}
+	t := &SecureTimer{
+		core:   core,
+		engine: engine,
+		gic:    gic,
+		name:   fmt.Sprintf("secure-timer-core%d", core.id),
+	}
+	t.fire = func() {
+		// Level-triggered: the handler is expected to disable the timer
+		// or move CVAL forward; we model a single assertion per arm.
+		t.gic.Raise(IntSecureTimer, t.core.id)
+	}
+	return t
 }
 
 // WriteCVAL sets the compare register (CNTPS_CVAL_EL1). Only the secure
@@ -72,7 +87,6 @@ func (t *SecureTimer) ReadCTL(w World) (bool, error) {
 // rearm reconciles the pending fire event with the current register state.
 func (t *SecureTimer) rearm() {
 	t.pending.Cancel()
-	t.pending = nil
 	if !t.enabled {
 		return
 	}
@@ -82,11 +96,5 @@ func (t *SecureTimer) rearm() {
 		// exactly as the architecture specifies for CNTPCT >= CVAL.
 		at = t.engine.Now()
 	}
-	name := fmt.Sprintf("secure-timer-core%d", t.core.id)
-	t.pending = t.engine.At(at, name, func() {
-		t.pending = nil
-		// Level-triggered: the handler is expected to disable the timer
-		// or move CVAL forward; we model a single assertion per arm.
-		t.gic.Raise(IntSecureTimer, t.core.id)
-	})
+	t.pending = t.engine.At(at, t.name, t.fire)
 }

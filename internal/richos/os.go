@@ -58,7 +58,7 @@ type coreState struct {
 	id      int
 	current *Thread
 	// computeDone fires when the current thread's scheduled CPU chunk ends.
-	computeDone  *simclock.Handle
+	computeDone  simclock.Handle
 	computeStart simclock.Time
 	computeLen   time.Duration
 	// sliceStart is when the current thread was dispatched; the tick's CFS
@@ -69,6 +69,12 @@ type coreState struct {
 	minVruntime time.Duration
 	tickArmed   bool
 	inSecure    bool
+	// onComputeDone and onTick are the core's event callbacks and tickName
+	// its tick label, bound once in NewOS so the scheduling hot path
+	// schedules without allocating.
+	onComputeDone func()
+	onTick        func()
+	tickName      string
 }
 
 func (cs *coreState) readyCount() int { return len(cs.fifo) + len(cs.cfs) }
@@ -112,7 +118,10 @@ func NewOS(p *hw.Platform, image *mem.Image, cfg Config) (*OS, error) {
 	}
 	os.cores = make([]*coreState, p.NumCores())
 	for i := range os.cores {
-		os.cores[i] = &coreState{id: i}
+		cs := &coreState{id: i, tickName: fmt.Sprintf("tick-core%d", i)}
+		cs.onComputeDone = func() { os.computeDone(cs) }
+		cs.onTick = func() { p.GIC().Raise(hw.IntNSTimer, cs.id) }
+		os.cores[i] = cs
 	}
 
 	// The benign timer-interrupt handler lives at the address the pristine
@@ -216,6 +225,15 @@ func (os *OS) Spawn(name string, policy Policy, rtPrio int, affinity []int, prog
 		affinity: append([]int(nil), affinity...),
 		state:    StateReady,
 		core:     affinity[0],
+		wakeName: "wake-" + name,
+		// Compute labels are built per core on first use: most threads
+		// are pinned and never need the rest.
+		computeNames: make([]string, os.platform.NumCores()),
+	}
+	t.tc = ThreadContext{os: os, thread: t}
+	t.onWake = func() {
+		t.state = StateReady
+		os.place(t)
 	}
 	os.threads = append(os.threads, t)
 	os.place(t)
@@ -371,12 +389,11 @@ func (os *OS) runChunk(cs *coreState) {
 		if t.pendingCompute > 0 {
 			cs.computeStart = os.platform.Engine().Now()
 			cs.computeLen = t.pendingCompute
-			cs.computeDone = os.platform.Engine().After(cs.computeLen,
-				fmt.Sprintf("compute-%s-core%d", t.name, cs.id),
-				func() { os.computeDone(cs) })
+			cs.computeDone = os.platform.Engine().After(cs.computeLen, t.computeName(cs.id), cs.onComputeDone)
 			return
 		}
-		step := t.program.Next(&ThreadContext{os: os, thread: t, coreID: cs.id})
+		t.tc.coreID = cs.id
+		step := t.program.Next(&t.tc)
 		switch step.Kind {
 		case ActionCompute:
 			if step.Dur <= 0 {
@@ -422,7 +439,6 @@ func (os *OS) computeDone(cs *coreState) {
 	if t == nil {
 		panic(fmt.Sprintf("richos: compute completion on empty core %d", cs.id))
 	}
-	cs.computeDone = nil
 	t.cpuTime += cs.computeLen
 	t.vruntime += cs.computeLen
 	t.pendingCompute -= cs.computeLen
@@ -439,9 +455,8 @@ func (os *OS) haltCurrent(cs *coreState) *Thread {
 	if t == nil {
 		return nil
 	}
-	if cs.computeDone != nil {
+	if cs.computeDone.Scheduled() {
 		cs.computeDone.Cancel()
-		cs.computeDone = nil
 		consumed := os.platform.Engine().Now().Sub(cs.computeStart)
 		t.cpuTime += consumed
 		t.vruntime += consumed
@@ -474,10 +489,7 @@ func (os *OS) Wake(t *Thread) {
 	if t.state != StateSleeping {
 		return
 	}
-	if t.wake != nil {
-		t.wake.Cancel()
-		t.wake = nil
-	}
+	t.wake.Cancel()
 	t.state = StateReady
 	os.place(t)
 }
@@ -486,11 +498,7 @@ func (os *OS) Wake(t *Thread) {
 func (os *OS) sleepThread(cs *coreState, t *Thread, d time.Duration) {
 	t.state = StateSleeping
 	cs.current = nil
-	t.wake = os.platform.Engine().After(d, fmt.Sprintf("wake-%s", t.name), func() {
-		t.wake = nil
-		t.state = StateReady
-		os.place(t)
-	})
+	t.wake = os.platform.Engine().After(d, t.wakeName, t.onWake)
 	os.dispatch(cs)
 }
 

@@ -9,7 +9,7 @@ import (
 	"satin/internal/simclock"
 )
 
-func newRig(t *testing.T) (*simclock.Engine, *hw.Platform, *mem.Image, *OS) {
+func newRig(t testing.TB) (*simclock.Engine, *hw.Platform, *mem.Image, *OS) {
 	t.Helper()
 	e := simclock.NewEngine()
 	p, err := hw.NewJunoR1(e)
@@ -357,5 +357,52 @@ func TestPolicyAndStateStrings(t *testing.T) {
 	}
 	if Policy(9).String() == "" {
 		t.Error("unknown policy must render")
+	}
+}
+
+// TestThreadContextPerThreadAcrossMigration: two threads time-sharing a core
+// each see themselves through tc.Thread() and the core they actually run on
+// through tc.CoreID(), before and after the secure world migrates them.
+func TestThreadContextPerThreadAcrossMigration(t *testing.T) {
+	e, p, _, os := newRig(t)
+	// A pinned hog on core 1 makes core 0 the cheaper start for both.
+	if _, err := os.Spawn("hog", PolicyCFS, 0, []int{1}, &busyLoop{quantum: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]map[int]int{}
+	prog := func(name string) Program {
+		seen[name] = map[int]int{}
+		return ProgramFunc(func(tc *ThreadContext) Step {
+			if got := tc.Thread().Name(); got != name {
+				t.Fatalf("%s's program sees thread %q", name, got)
+			}
+			if cur := tc.OS().CurrentThread(tc.CoreID()); cur != tc.Thread() {
+				t.Fatalf("%s sees core %d, which is running %v", name, tc.CoreID(), cur)
+			}
+			seen[name][tc.CoreID()]++
+			return Compute(time.Millisecond)
+		})
+	}
+	a, err := os.Spawn("a", PolicyCFS, 0, []int{0, 1}, prog("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.Spawn("b", PolicyCFS, 0, []int{0, 1}, prog("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.LastCore() != 0 || b.LastCore() != 0 {
+		t.Fatalf("threads placed on cores %d and %d, want both on 0", a.LastCore(), b.LastCore())
+	}
+	e.RunFor(50 * time.Millisecond)
+	p.Core(0).SetWorld(hw.SecureWorld)
+	if a.LastCore() != 1 || b.LastCore() != 1 {
+		t.Fatalf("threads on cores %d and %d after core 0 went secure, want both on 1", a.LastCore(), b.LastCore())
+	}
+	e.RunFor(50 * time.Millisecond)
+	for _, name := range []string{"a", "b"} {
+		if seen[name][0] == 0 || seen[name][1] == 0 {
+			t.Errorf("%s ran on cores %v, want both 0 and 1", name, seen[name])
+		}
 	}
 }

@@ -42,7 +42,9 @@ func Block() Step                  { return Step{Kind: ActionBlock} }
 // Program is the behavior of a thread: a state machine stepped each time
 // the thread has the CPU and owes no pending compute. All side effects
 // (reading the shared counter, writing report buffers, invoking syscalls)
-// happen inside Next, at the virtual instant it is called.
+// happen inside Next, at the virtual instant it is called. The tc passed
+// to Next is valid only for the duration of that call: the OS reuses it
+// for the thread's later steps, so a program must not keep it.
 type Program interface {
 	Next(tc *ThreadContext) Step
 }
@@ -53,7 +55,8 @@ type ProgramFunc func(tc *ThreadContext) Step
 // Next implements Program.
 func (f ProgramFunc) Next(tc *ThreadContext) Step { return f(tc) }
 
-// ThreadContext is what a Program sees while it runs.
+// ThreadContext is what a Program sees while it runs. Each thread owns one,
+// updated before every step; it is valid only inside Program.Next.
 type ThreadContext struct {
 	os     *OS
 	thread *Thread

@@ -110,7 +110,16 @@ type Thread struct {
 	// enqueueSeq orders FIFO threads of equal priority.
 	enqueueSeq uint64
 
-	wake *simclock.Handle
+	// wake is the pending timer wake-up of a sleeping thread; onWake and
+	// wakeName are its callback and label, bound once in Spawn.
+	wake     simclock.Handle
+	onWake   func()
+	wakeName string
+	// computeNames caches the thread's compute-chunk label per core, each
+	// built on the thread's first dispatch to that core.
+	computeNames []string
+	// tc is the context handed to the program's Next, reused across steps.
+	tc ThreadContext
 
 	// Accounting.
 	cpuTime      time.Duration
@@ -163,6 +172,15 @@ func (t *Thread) allows(id int) bool {
 		}
 	}
 	return false
+}
+
+// computeName returns the label of the thread's compute-chunk event on core
+// id, e.g. "compute-reporter-2-core2".
+func (t *Thread) computeName(id int) string {
+	if t.computeNames[id] == "" {
+		t.computeNames[id] = fmt.Sprintf("compute-%s-core%d", t.name, id)
+	}
+	return t.computeNames[id]
 }
 
 // String renders like "thread3(reporter-2)".

@@ -81,9 +81,22 @@ func NewEngine() *Engine {
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// schedule validates t, fills a (possibly recycled) event struct, and pushes
-// it onto the heap.
-func (e *Engine) schedule(t Time, name string, fn func()) *event {
+// recycle bumps the event's generation (invalidating outstanding Handles) and
+// returns the struct to the free list with its references cleared.
+func (e *Engine) recycle(ev *event) {
+	ev.gen++
+	ev.fn = nil
+	ev.name = ""
+	e.free = append(e.free, ev)
+}
+
+// At schedules fn to run at instant t. Scheduling an event in the past is a
+// programming error and panics: in a discrete-event simulation a past event
+// means the model is broken, and continuing would silently corrupt causality.
+// The name is used in error messages and traces. The returned Handle is a
+// plain value; callers that never cancel simply drop it, and with the event
+// struct drawn from the free list, steady-state scheduling allocates nothing.
+func (e *Engine) At(t Time, name string, fn func()) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("simclock: event %q scheduled at %v, before now %v", name, t, e.now))
 	}
@@ -102,44 +115,14 @@ func (e *Engine) schedule(t Time, name string, fn func()) *event {
 	ev.canceled = false
 	e.nextSeq++
 	e.queue.push(ev)
-	return ev
-}
-
-// recycle bumps the event's generation (invalidating outstanding Handles) and
-// returns the struct to the free list with its references cleared.
-func (e *Engine) recycle(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	ev.name = ""
-	e.free = append(e.free, ev)
-}
-
-// At schedules fn to run at instant t. Scheduling an event in the past is a
-// programming error and panics: in a discrete-event simulation a past event
-// means the model is broken, and continuing would silently corrupt causality.
-// The name is used in error messages and traces.
-func (e *Engine) At(t Time, name string, fn func()) *Handle {
-	ev := e.schedule(t, name, fn)
-	return &Handle{engine: e, ev: ev, gen: ev.gen, when: t}
+	return Handle{engine: e, ev: ev, gen: ev.gen, when: t}
 }
 
 // After schedules fn to run d after the current instant. A negative d panics
 // (see At); a zero d runs after the current event completes, in scheduling
 // order.
-func (e *Engine) After(d time.Duration, name string, fn func()) *Handle {
+func (e *Engine) After(d time.Duration, name string, fn func()) Handle {
 	return e.At(e.now.Add(d), name, fn)
-}
-
-// Schedule is At without a cancel handle: the hot path for fire-and-forget
-// events. With no Handle to allocate and the event struct drawn from the
-// free list, steady-state scheduling through here allocates nothing.
-func (e *Engine) Schedule(t Time, name string, fn func()) {
-	e.schedule(t, name, fn)
-}
-
-// ScheduleAfter is After without a cancel handle; see Schedule.
-func (e *Engine) ScheduleAfter(d time.Duration, name string, fn func()) {
-	e.schedule(e.now.Add(d), name, fn)
 }
 
 // Step fires the earliest pending event and returns true, or returns false
@@ -230,10 +213,11 @@ func (e *Engine) Pending() int { return e.queue.len() }
 // path.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
-// Handle identifies a scheduled event and allows canceling it. Because event
-// structs are recycled after firing, the Handle snapshots the event's
-// generation and scheduled instant at creation; it never reads a recycled
-// struct's new contents.
+// Handle identifies a scheduled event and allows canceling it. It is a
+// value: holders keep it in a field, and the zero Handle means nothing is
+// scheduled. Because event structs are recycled after firing, the Handle
+// snapshots the event's generation and scheduled instant at creation; it
+// never reads a recycled struct's new contents.
 type Handle struct {
 	engine   *Engine
 	ev       *event
@@ -243,10 +227,10 @@ type Handle struct {
 }
 
 // Cancel withdraws the event. Canceling an already-fired or already-canceled
-// event is a no-op. A nil handle is also a no-op, so callers can Cancel
-// unconditionally.
+// event is a no-op, and so is canceling the zero Handle, so callers can
+// Cancel unconditionally.
 func (h *Handle) Cancel() {
-	if h == nil || h.ev == nil || h.canceled {
+	if h.ev == nil || h.canceled {
 		return
 	}
 	if h.ev.gen != h.gen {
@@ -258,18 +242,20 @@ func (h *Handle) Cancel() {
 	h.engine.maybeCompact()
 }
 
-// Canceled reports whether the event was withdrawn before firing.
-func (h *Handle) Canceled() bool {
-	return h != nil && h.canceled
+// Canceled reports whether the event was withdrawn before firing through
+// this Handle.
+func (h *Handle) Canceled() bool { return h.canceled }
+
+// Scheduled reports whether the event is still due: scheduled, not yet
+// fired, and not canceled. It is false for the zero Handle and, inside the
+// event's own callback, already false.
+func (h *Handle) Scheduled() bool {
+	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled
 }
 
-// When reports the instant the event is (or was) scheduled for.
-func (h *Handle) When() Time {
-	if h == nil || h.ev == nil {
-		return 0
-	}
-	return h.when
-}
+// When reports the instant the event is (or was) scheduled for, or 0 for
+// the zero Handle.
+func (h *Handle) When() Time { return h.when }
 
 // maybeCompact sweeps canceled events out of the heap once they both exceed
 // a fixed floor and outnumber the live events. The double condition keeps

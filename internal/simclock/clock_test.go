@@ -112,10 +112,10 @@ func TestEngineCancel(t *testing.T) {
 	}
 	// Cancel after run and double-cancel are no-ops.
 	h.Cancel()
-	var nilHandle *Handle
-	nilHandle.Cancel() // must not panic
-	if nilHandle.Canceled() {
-		t.Error("nil handle reports canceled")
+	var zero Handle
+	zero.Cancel() // must not panic
+	if zero.Canceled() {
+		t.Error("zero handle reports canceled")
 	}
 }
 
@@ -125,9 +125,9 @@ func TestHandleWhen(t *testing.T) {
 	if h.When() != Time(7*time.Millisecond) {
 		t.Errorf("When() = %v, want 7ms", h.When())
 	}
-	var nilHandle *Handle
-	if nilHandle.When() != 0 {
-		t.Error("nil handle When() != 0")
+	var zero Handle
+	if zero.When() != 0 {
+		t.Error("zero handle When() != 0")
 	}
 }
 
@@ -346,14 +346,17 @@ func TestDistDrawProperty(t *testing.T) {
 }
 
 func TestScheduleNoHandleOrdering(t *testing.T) {
-	// Schedule/ScheduleAfter interleave with At/After in strict (time, seq)
-	// order: the no-handle fast path must not perturb determinism.
+	// Events whose Handle the caller drops interleave with events whose
+	// Handle it keeps in strict (time, seq) order.
 	e := NewEngine()
 	var got []int
-	e.Schedule(20, "c", func() { got = append(got, 3) })
-	e.At(10, "a", func() { got = append(got, 1) })
-	e.ScheduleAfter(10, "b", func() { got = append(got, 2) }) // same instant as "a", scheduled later
-	e.ScheduleAfter(30, "d", func() { got = append(got, 4) })
+	e.At(20, "c", func() { got = append(got, 3) })
+	kept := e.At(10, "a", func() { got = append(got, 1) })
+	e.After(10, "b", func() { got = append(got, 2) }) // same instant as "a", scheduled later
+	e.After(30, "d", func() { got = append(got, 4) })
+	if !kept.Scheduled() {
+		t.Error("kept handle reports its event not scheduled")
+	}
 	e.Run()
 	want := []int{1, 2, 3, 4}
 	if len(got) != len(want) {
@@ -363,6 +366,38 @@ func TestScheduleNoHandleOrdering(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("fire order %v, want %v", got, want)
 		}
+	}
+}
+
+func TestHandleScheduled(t *testing.T) {
+	e := NewEngine()
+	var zero Handle
+	if zero.Scheduled() {
+		t.Error("zero handle reports scheduled")
+	}
+	var self Handle
+	self = e.At(10, "self", func() {
+		if self.Scheduled() {
+			t.Error("handle reports scheduled inside its own callback")
+		}
+	})
+	doomed := e.At(20, "doomed", func() {})
+	if !self.Scheduled() || !doomed.Scheduled() {
+		t.Fatal("fresh handles report not scheduled")
+	}
+	doomed.Cancel()
+	if doomed.Scheduled() {
+		t.Error("canceled handle reports scheduled")
+	}
+	e.Run()
+	if self.Scheduled() {
+		t.Error("fired handle reports scheduled")
+	}
+	// The fired event's struct now hosts a new event; the stale Handle
+	// must not see it.
+	e.At(30, "next", func() {})
+	if self.Scheduled() || doomed.Scheduled() {
+		t.Error("stale handle reports a recycled struct's event as its own")
 	}
 }
 
@@ -405,7 +440,7 @@ func TestCancelChurnKeepsQueueBounded(t *testing.T) {
 	// compaction the pending count stays proportional to the live events.
 	e := NewEngine()
 	fires := 0
-	e.Schedule(1_000_000, "anchor", func() { fires++ })
+	e.At(1_000_000, "anchor", func() { fires++ })
 	for i := 0; i < 10_000; i++ {
 		h := e.At(Time(500_000+i), "churn", func() { t.Error("canceled event fired") })
 		h.Cancel()
@@ -432,7 +467,8 @@ func TestCompactionPreservesFireOrder(t *testing.T) {
 		if i%3 == 0 {
 			e.At(when, "live", func() { got = append(got, e.Now()) })
 		} else {
-			e.At(when, "doomed", func() { t.Error("canceled event fired") }).Cancel()
+			h := e.At(when, "doomed", func() { t.Error("canceled event fired") })
+			h.Cancel()
 		}
 	}
 	e.Run()
@@ -452,13 +488,13 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	n := 0
 	tick = func() {
 		if n++; n < 1000 {
-			e.ScheduleAfter(10, "tick", tick)
+			e.After(10, "tick", tick)
 		}
 	}
-	e.ScheduleAfter(10, "tick", tick)
+	e.After(10, "tick", tick)
 	allocs := testing.AllocsPerRun(1, func() {
 		n = 0
-		e.ScheduleAfter(10, "tick", tick)
+		e.After(10, "tick", tick)
 		e.Run()
 	})
 	// The free list makes the periodic-event steady state allocation-free;
@@ -466,4 +502,48 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	if allocs > 5 {
 		t.Errorf("steady-state run allocated %.0f times for 1000 events", allocs)
 	}
+}
+
+// TestSteadyStateCancelDoesNotAllocate locks the rearm pattern every timer
+// holder uses: withdraw the outstanding event, schedule a fresh one, and keep
+// its Handle. Once the free list and heap are warm, none of it allocates.
+func TestSteadyStateCancelDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	nop := func() {}
+	timeout := e.After(0, "timeout", nop)
+	var tick func()
+	n := 0
+	tick = func() {
+		timeout.Cancel()
+		timeout = e.After(50, "timeout", nop)
+		if n++; n < 1000 {
+			e.After(10, "tick", tick)
+		}
+	}
+	run := func() {
+		n = 0
+		e.After(10, "tick", tick)
+		e.Run()
+	}
+	run() // warm the free list and the heap
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("After+Cancel+Run allocated %.1f times per 1000 rearms, want 0", allocs)
+	}
+}
+
+// BenchmarkScheduleAndPop is the engine's per-event cost: one After and one
+// dispatch of a self-rescheduling event.
+func BenchmarkScheduleAndPop(b *testing.B) {
+	e := NewEngine()
+	var tick func()
+	n := 0
+	tick = func() {
+		if n++; n < b.N {
+			e.After(10, "tick", tick)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.After(10, "tick", tick)
+	e.Run()
 }

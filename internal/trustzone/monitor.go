@@ -302,7 +302,7 @@ func (m *Monitor) enter(coreID int, reason EntryReason, fn func(ctx *Context)) {
 	m.prof.Begin(profile.SpanWorldSwitch, coreID, -1, requested.Duration(), reason.String())
 	m.prof.Begin(profile.SpanSecureDispatch, coreID, -1, requested.Duration(), "")
 	switchCost := m.platform.Perf().SwitchTime(m.rng)
-	m.platform.Engine().ScheduleAfter(switchCost, m.entryNames[coreID], func() {
+	m.platform.Engine().After(switchCost, m.entryNames[coreID], func() {
 		core := m.platform.Core(coreID)
 		// The core leaves the normal world here: its reporters freeze and
 		// TZ-Evader's staleness clock starts ticking.
@@ -333,7 +333,7 @@ func (m *Monitor) enter(coreID int, reason EntryReason, fn func(ctx *Context)) {
 		// with no extra engine event.
 		if m.switchPerturb != nil {
 			if extra := m.switchPerturb(coreID, switchCost); extra > 0 {
-				m.platform.Engine().ScheduleAfter(extra, m.dispatchNames[coreID], dispatch)
+				m.platform.Engine().After(extra, m.dispatchNames[coreID], dispatch)
 				return
 			}
 		}
@@ -346,7 +346,7 @@ func (m *Monitor) enter(coreID int, reason EntryReason, fn func(ctx *Context)) {
 func (m *Monitor) exit(coreID int) {
 	switchCost := m.platform.Perf().SwitchTime(m.rng)
 	m.exitHist.Observe(int64(switchCost))
-	m.platform.Engine().ScheduleAfter(switchCost, m.exitNames[coreID], func() {
+	m.platform.Engine().After(switchCost, m.exitNames[coreID], func() {
 		m.inSecure[coreID] = false
 		m.platform.Core(coreID).SetWorld(hw.NormalWorld)
 		m.prof.End(profile.SpanWorldSwitch, coreID, m.platform.Engine().Now().Duration())
@@ -395,7 +395,7 @@ func (c *Context) Elapse(d time.Duration, fn func()) {
 		// NonPreemptive routing) and no earlier stretch is owed, so fn fires
 		// exactly d from now — schedule it directly, with no closure. This is
 		// the path every SATIN chunk read takes, thousands of times per scan.
-		m.platform.Engine().ScheduleAfter(d, name, fn)
+		m.platform.Engine().After(d, name, fn)
 		return
 	}
 	var fire func()
@@ -403,12 +403,12 @@ func (c *Context) Elapse(d time.Duration, fn func()) {
 		accrued := m.stretch[id] - c.stretchSeen
 		if accrued > 0 {
 			c.stretchSeen += accrued
-			m.platform.Engine().ScheduleAfter(accrued, name, fire)
+			m.platform.Engine().After(accrued, name, fire)
 			return
 		}
 		fn()
 	}
-	m.platform.Engine().ScheduleAfter(d, name, fire)
+	m.platform.Engine().After(d, name, fire)
 }
 
 // Exit returns the core to the normal world. It must be called exactly once
